@@ -29,6 +29,7 @@ from .counting import (
     CountSeries,
     SlopeRange,
     count_series,
+    log_derivative_weights,
     segment_exponents,
     symmetric_count,
     totient_sieve,

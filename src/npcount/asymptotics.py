@@ -24,7 +24,7 @@ from typing import Sequence
 
 import mpmath as mp
 
-from .counting import totient_sieve
+from .counting import SlopeRange, log_derivative_weights, segment_exponents
 from .precision import GUARD_BITS, HPComplex, HPReal, PrecisionContext
 from .special import complex_gamma, complex_zeta, constant_C, constant_K, zeta_derivative
 from .zeros import ZetaZero, bundled_zeros, refine_zero
@@ -136,7 +136,9 @@ def residue_coefficient(zero: ZetaZero, ctx: PrecisionContext = PrecisionContext
     return ResidueCoefficient(zero, _coefficient(zero.t, ctx.bits))
 
 
-def _coefficients(zeros: Sequence[ZetaZero], k: int, ctx: PrecisionContext) -> list[HPComplex]:
+def _zero_terms(zeros: Sequence[ZetaZero], k: int,
+                ctx: PrecisionContext) -> list[tuple[HPReal, HPComplex]]:
+    """(t, c_γ) for the first k zeros; unrefined catalog entries are refined first."""
     if k < 0:
         raise ValueError("k must be >= 0")
     if k > len(zeros):
@@ -144,16 +146,15 @@ def _coefficients(zeros: Sequence[ZetaZero], k: int, ctx: PrecisionContext) -> l
     out = []
     for z in zeros[:k]:
         t = z.t if z.refined else _refined_t(z.t, ctx.bits)
-        out.append(_coefficient(t, ctx.bits))
+        out.append((t, _coefficient(t, ctx.bits)))
     return out
 
 
-def _oscillation_at_tau(tau: HPReal, coeffs: Sequence[HPComplex],
-                        ts: Sequence[HPReal]) -> HPReal:
+def _oscillation_at_tau(tau: HPReal, terms: Sequence[tuple[HPReal, HPComplex]]) -> HPReal:
     """Σ 2 Re(c τ^(-γ)) with τ^(-γ) = exp(-γ log τ), log τ real. Exactly real."""
     logtau = mp.log(tau)
     acc = mp.mpf(0)
-    for c, t in zip(coeffs, ts):
+    for t, c in terms:
         gamma = mp.mpc(mp.mpf(1) / 2, t)
         acc += 2 * mp.re(c * mp.exp(-gamma * logtau))
     return acc
@@ -164,20 +165,19 @@ def oscillation_sum(n: int, zeros: Sequence[ZetaZero], k: int = DEFAULT_ZERO_COU
     """Oscillatory correction Σ over the first k zeros of 2 Re(c_γ τ(n)^(-γ))."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    coeffs = _coefficients(zeros, k, ctx)
+    terms = _zero_terms(zeros, k, ctx)
     with ctx.working():
         tau = mp.cbrt(constant_C(ctx) / n)
-        ts = [z.t if z.refined else _refined_t(z.t, ctx.bits) for z in zeros[:k]]
-        return ctx.round(_oscillation_at_tau(tau, coeffs, ts))
+        return ctx.round(_oscillation_at_tau(tau, terms))
 
 
 def oscillation_tail_bound(n: int, zeros: Sequence[ZetaZero], start: int, stop: int,
                            ctx: PrecisionContext = PrecisionContext()) -> HPReal:
     """Triangle-inequality bound Σ_{j=start..stop-1} 2 |c_γj| τ^(-1/2)."""
-    coeffs = _coefficients(zeros, stop, ctx)[start:]
+    terms = _zero_terms(zeros, stop, ctx)[start:]
     with ctx.working():
         tau = mp.cbrt(constant_C(ctx) / n)
-        bound = sum((2 * abs(c) for c in coeffs), mp.mpf(0)) / mp.sqrt(tau)
+        bound = sum((2 * abs(c) for _, c in terms), mp.mpf(0)) / mp.sqrt(tau)
         return ctx.round(bound)
 
 
@@ -214,23 +214,22 @@ def variant_estimate(variant: Variant, n: int, zeros: Sequence[ZetaZero],
         raise ValueError("doubled only applies to the symmetric variant")
     C = constant_C(ctx)
     K = constant_K(ctx)
-    coeffs = _coefficients(zeros, k, ctx)
+    terms = _zero_terms(zeros, k, ctx)
     with ctx.working():
-        ts = [z.t if z.refined else _refined_t(z.t, ctx.bits) for z in zeros[:k]]
         if variant is Variant.CLOSED_01:
             nn = mp.mpf(n)
             tau = mp.cbrt(C / nn)
             val = (mp.log(K) - mp.mpf(2) / 9 * mp.log(C) - mp.log(6 * mp.pi) / 2
                    - mp.mpf(5) / 18 * mp.log(nn)
                    + mp.mpf(3) / 2 * mp.cbrt(C) * nn ** (mp.mpf(2) / 3)
-                   + _oscillation_at_tau(tau, coeffs, ts))
+                   + _oscillation_at_tau(tau, terms))
         elif variant is Variant.SYMMETRIC:
             n2 = mp.mpf(2 * n)
             tau = mp.cbrt(C / n2)
             val = (mp.log(K) / 2 - mp.mpf(7) / 36 * mp.log(C) - mp.log(6 * mp.pi) / 2
                    - mp.mpf(11) / 36 * mp.log(n2)
                    + mp.mpf(3) / 4 * mp.cbrt(C) * n2 ** (mp.mpf(2) / 3)
-                   + _oscillation_at_tau(tau, coeffs, ts) / 2)
+                   + _oscillation_at_tau(tau, terms) / 2)
             if doubled:
                 val += mp.log(2)
         else:  # pragma: no cover
@@ -296,25 +295,89 @@ class ExpansionCheck:
     direct: HPReal
     expansion: HPReal
     residual: HPReal
-    terms: int
+    terms: int  #: number of direct-series terms summed
 
 
 #: Hard cap on direct-sum length before giving up.
 _DIRECT_SUM_MAX_TERMS = 5_000_000
+
+#: Rational upper bound for ζ(2) = π²/6 = 1.6449..., used in the tail bound.
+_ZETA2_UPPER = mp.mpf(33) / 20
+
+
+def _logf_tail_bound(x: HPReal, m: int) -> HPReal:
+    """Upper bound for Σ_{N>=m} (b(N)/N) x^N, 0 < x < 1.
+
+    b(N) <= σ₂(N) < ζ(2) N², so the tail is below ζ(2) Σ_{N>=m} N x^N
+    = ζ(2) x^m (m/(1-x) + x/(1-x)²), which decreases strictly in m.
+    """
+    inv = 1 / (1 - x)
+    return _ZETA2_UPPER * x ** m * (m * inv + x * inv * inv)
+
+
+def _logf_term_count(x: HPReal, cutoff: HPReal, cap: int) -> int:
+    """Smallest M with tail(M + 1) < cutoff, or cap + 1 when M would exceed cap."""
+    if _logf_tail_bound(x, cap + 1) >= cutoff:
+        return cap + 1
+    lo, hi = 0, cap  # tail(lo + 1) >= cutoff > tail(hi + 1)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _logf_tail_bound(x, mid + 1) < cutoff:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def _logf_tau_floor(cutoff: HPReal, cap: int) -> str:
+    """The smallest τ in (0, 1], rounded up to 3 digits, whose sum fits in cap terms."""
+    def fits(tau):
+        return _logf_tail_bound(mp.exp(-tau), cap + 1) < cutoff
+
+    lo, hi = mp.mpf(0), mp.mpf(1)
+    if not fits(hi):
+        return "none: even tau=1 needs more terms"
+    while hi - lo > hi * mp.mpf("1e-6"):
+        mid = (lo + hi) / 2
+        if fits(mid):
+            hi = mid
+        else:
+            lo = mid
+    step = mp.mpf(10) ** (int(mp.floor(mp.log10(hi))) - 2)
+    return f"{float(mp.ceil(hi / step) * step):.3g}"
 
 
 def logf_expansion_check(tau, zeros: Sequence[ZetaZero] = (), k: int = 0,
                          ctx: PrecisionContext = PrecisionContext()) -> ExpansionCheck:
     """Compare log f(e^(-τ)) computed two ways, for 0 < τ <= 1.
 
-    direct:    Σ_n φ(n) Σ_j e^(-jnτ)/j, truncated below 2^(-bits-guard);
+    direct:    log f(x) = Σ_n φ(n) Σ_j x^(jn)/j = Σ_{N>=1} (b(N)/N) x^N at
+               x = e^(-τ), with b(N) = Σ_{d|N} d φ(d) the counting weights
+               of :func:`npcount.counting.log_derivative_weights`;
     expansion: (C/2) τ^(-2) + Σ_γ 2 Re(c_γ τ^(-γ)) - (1/6) log τ + log K
                (the τ^(-2) residue, the zero oscillation, and the
                double-pole residue at 0);
     residual:  direct - expansion, the part the expansion drops —
                O(τ^(2-ε)) as τ -> 0.
+
+    The direct series stops after M = ``terms`` terms, the least M whose
+    tail bound Z x^(M+1) ((M+1)/(1-x) + x/(1-x)²) is below
+    ε = 2^(-bits-guard); the bound holds as b(N) < ζ(2) N² and
+    Z = 33/20 > ζ(2). M is known before any summing, so a τ that would
+    need more than ``_DIRECT_SUM_MAX_TERMS`` terms raises
+    :class:`TruncationError` at once, naming the smallest τ that fits.
+
+    The M terms are summed in fixed point at P = bits + guard + 3 L + 2
+    bits, L = bit length of M: X = round(x 2^P), x^N is carried as
+    xn_N = floor(xn_(N-1) X / 2^P), and term N adds floor(b(N) xn_N / N).
+    With ξ = X/2^P, |ξ - x| <= 2^-P (x is computed at P + 8 bits) and
+    0 <= ξ^N - xn_N/2^P < (N-1) 2^-P, so |xn_N/2^P - x^N| < 2N 2^-P and
+    term N is off by less than (2 b(N) + 1) 2^-P. As Σ_{N<=M} b(N)
+    <= M Σ_{d<=M} φ(d) <= M²(M+1)/2, the M terms together are off by less
+    than 3 M³ 2^-P < ε. With the tail, direct is within 2ε of log f(x);
+    since log f(x) >= x/(1-x) >= 1/(2τ) >= 1/2, that is a relative error
+    below 2^(2-bits-guard).
     """
-    coeffs = _coefficients(zeros, k, ctx)
     C = constant_C(ctx)
     K = constant_K(ctx)
     with ctx.working():
@@ -322,44 +385,33 @@ def logf_expansion_check(tau, zeros: Sequence[ZetaZero] = (), k: int = 0,
         if not 0 < tau <= 1:
             raise ValueError("tau must be in (0, 1]")
         cutoff = mp.mpf(2) ** (-(ctx.bits + GUARD_BITS))
-        x = mp.exp(-tau)
+        cap = _DIRECT_SUM_MAX_TERMS
+        n_max = _logf_term_count(mp.exp(-tau), cutoff, cap)
+        if n_max > cap:
+            raise TruncationError(
+                f"direct sum at tau={mp.nstr(tau, 6)} needs more than {cap} terms; "
+                f"the smallest tau that fits at {ctx.bits} bits is "
+                f"{_logf_tau_floor(cutoff, cap)}")
+        terms = _zero_terms(zeros, k, ctx)
 
-        direct = mp.mpf(0)
-        # grow the totient table geometrically until the tail bound dies out
-        est = int((ctx.bits + GUARD_BITS + 24) * mp.log(2) / tau) + 64
-        phi = totient_sieve(min(est, _DIRECT_SUM_MAX_TERMS))
-        invx1 = 1 / (1 - x)
-        n = 1
-        xn = x
-        while True:
-            inner = mp.mpf(0)
-            xnj = xn
-            j = 1
-            inner_cut = cutoff / (phi[n] + 1)
-            while xnj / j >= inner_cut:
-                inner += xnj / j
-                xnj *= xn
-                j += 1
-            direct += phi[n] * inner
-            n += 1
-            xn *= x
-            # tail over m >= n: sum phi(m) x^m/(1-x^m) <= (x^n/(1-x)) (n/(1-x) + x/(1-x)^2)
-            if xn * invx1 * (n * invx1 + x * invx1 * invx1) < cutoff:
-                break
-            if n >= len(phi):
-                if len(phi) - 1 >= _DIRECT_SUM_MAX_TERMS:
-                    raise TruncationError(
-                        f"direct sum did not converge within {_DIRECT_SUM_MAX_TERMS} terms")
-                phi = totient_sieve(min(2 * (len(phi) - 1), _DIRECT_SUM_MAX_TERMS))
+        prec = ctx.bits + GUARD_BITS + 3 * n_max.bit_length() + 2
+        with mp.workprec(prec + 8):
+            X = int(mp.nint(mp.ldexp(mp.exp(-tau), prec)))
+        b = log_derivative_weights(segment_exponents(SlopeRange.HALF_OPEN_01, n_max), n_max)
+        acc = 0
+        xn = X
+        for N in range(1, n_max + 1):
+            acc += b[N] * xn // N
+            xn = (xn * X) >> prec
+        direct = mp.ldexp(mp.mpf(acc), -prec)
 
-        ts = [z.t if z.refined else _refined_t(z.t, ctx.bits) for z in zeros[:k]]
         expansion = (C / 2 / tau ** 2
-                     + _oscillation_at_tau(tau, coeffs, ts)
+                     + _oscillation_at_tau(tau, terms)
                      - mp.log(tau) / 6 + mp.log(K))
         return ExpansionCheck(
             tau=ctx.round(tau),
             direct=ctx.round(direct),
             expansion=ctx.round(expansion),
             residual=ctx.round(direct - expansion),
-            terms=n - 1,
+            terms=n_max,
         )

@@ -237,6 +237,8 @@ def main(argv=None) -> int:
             ctx = PrecisionContext(args.bits)
         except (TypeError, ValueError) as exc:
             raise UsageError(str(exc)) from exc
+        if args.digits < 1:
+            raise UsageError(f"--digits must be >= 1, got {args.digits}")
         if args.command == "count":
             header, rows = _rows_count(args)
         elif args.command == "rho":

@@ -10,6 +10,11 @@ denominator m. Coefficients are extracted with the log-derivative
 
 in exact arbitrary-size integers; the division by n must come out exact
 and is asserted.
+
+The weights b(k) are shared with the asymptotic side: since
+log F = Σ_k (b(k)/k) x^k, :func:`log_derivative_weights` over the [0, 1)
+exponents e = φ also gives the direct series of log f(e^(-τ)) that
+:func:`npcount.asymptotics.logf_expansion_check` sums.
 """
 from __future__ import annotations
 
@@ -103,15 +108,25 @@ def _series_from_weights(b: Sequence[int], limit: int) -> list[int]:
     return a
 
 
-def series_from_exponents(e: Sequence[int], limit: int) -> list[int]:
-    """Coefficients a(0..limit) of the product over m of (1 - x^m)^(-e(m))."""
+def log_derivative_weights(e: Sequence[int], limit: int) -> list[int]:
+    """b(0..limit) with b(k) = Σ_{d|k} d e(d), so that x (log F)′ = Σ b(k) x^k.
+
+    F is the product over m of (1 - x^m)^(-e(m)); b(0) = 0. These are the
+    weights of the counting recurrence and, divided by k, the coefficients
+    of log F itself.
+    """
     b = [0] * (limit + 1)
     for d in range(1, limit + 1):
         if e[d]:
             de = d * e[d]
             for k in range(d, limit + 1, d):
                 b[k] += de
-    return _series_from_weights(b, limit)
+    return b
+
+
+def series_from_exponents(e: Sequence[int], limit: int) -> list[int]:
+    """Coefficients a(0..limit) of the product over m of (1 - x^m)^(-e(m))."""
+    return _series_from_weights(log_derivative_weights(e, limit), limit)
 
 
 def count_series(slope_range: SlopeRange, limit: int) -> CountSeries:

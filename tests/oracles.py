@@ -2,6 +2,8 @@
 from collections import Counter
 from math import gcd
 
+import mpmath as mp
+
 
 def product_series(exponents, limit):
     """Coefficients of prod_m (1 - x^m)^(-e(m)) by direct polynomial product.
@@ -53,3 +55,40 @@ def symmetric_polygons_bruteforce(g):
 
     recurse(0, height, depth, [])
     return total
+
+
+def _totient(m):
+    """Euler's φ(m) by trial-division factorisation."""
+    result, n, p = m, m, 2
+    while p * p <= n:
+        if n % p == 0:
+            while n % p == 0:
+                n //= p
+            result -= result // p
+        p += 1
+    if n > 1:
+        result -= result // n
+    return result
+
+
+def logf_direct_reference(tau, bits):
+    """log f(e^-τ) = -Σ_m φ(m) log1p(-e^(-mτ)), the product formula, at bits + 64.
+
+    Stops once the tail is below 2^-(bits+64) of the running sum:
+    for j > m, φ(j) (-log(1 - x^j)) <= j x^j / (1 - x^(m+1)), and
+    Σ_{j>m} j x^j = x^(m+1) ((m+1)/(1-x) + x/(1-x)^2).
+    """
+    with mp.workprec(bits + 64):
+        x = mp.exp(-mp.mpf(tau))
+        rel = mp.mpf(2) ** -(bits + 64)
+        inv = 1 / (1 - x)
+        shift = x * inv * inv
+        total = mp.mpf(0)
+        xm = x
+        m = 1
+        while True:
+            total -= _totient(m) * mp.log1p(-xm)
+            m += 1
+            xm *= x
+            if xm * (m * inv + shift) < rel * total * (1 - xm):
+                return total

@@ -2,6 +2,7 @@ import mpmath as mp
 import pytest
 
 from npcount import (
+    PrecisionContext,
     SlopeRange,
     Variant,
     count_series,
@@ -23,6 +24,7 @@ from npcount.asymptotics import TruncationError, first_zero_log_period
 from npcount.zeros import ZetaZero
 
 import golden
+import oracles
 
 
 def rel(a, b):
@@ -244,3 +246,35 @@ class TestExpansionCheck:
         monkeypatch.setattr(amod, "_DIRECT_SUM_MAX_TERMS", 100)
         with pytest.raises(TruncationError):
             logf_expansion_check("0.05", zeros25, 0, ctx)
+
+    def test_truncation_raised_before_any_table_is_built(self, ctx, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("built a table for a sum that cannot fit")
+
+        monkeypatch.setattr(amod, "segment_exponents", forbidden)
+        monkeypatch.setattr(amod, "log_derivative_weights", forbidden)
+        with pytest.raises(TruncationError, match="smallest tau that fits"):
+            logf_expansion_check("1e-5", (), 0, ctx)
+
+    @pytest.mark.parametrize("bits", [64, 192, 512])
+    @pytest.mark.parametrize("tau", ["1", "0.25", "0.05"])
+    def test_direct_against_product_formula(self, bits, tau):
+        bctx = PrecisionContext(bits)
+        t = bctx.real(tau)
+        direct = logf_expansion_check(t, (), 0, bctx).direct
+        want = oracles.logf_direct_reference(t, bits)
+        with mp.workprec(bits + 64):
+            assert abs(direct - want) <= abs(want) * mp.mpf(2) ** (8 - bits)
+
+    def test_terms_is_the_direct_series_length(self, ctx):
+        # the least M with Z x^(M+1) ((M+1)/(1-x) + x/(1-x)^2) < 2^-(bits+guard),
+        # Z = 33/20 a rational bound for ζ(2) = 1.6449...
+        chk = logf_expansion_check("0.5", (), 0, ctx)
+        with ctx.working():
+            x = mp.exp(-mp.mpf("0.5"))
+            eps = mp.mpf(2) ** -(ctx.bits + amod.GUARD_BITS)
+
+            def tail(m):
+                return mp.mpf(33) / 20 * x ** m * (m / (1 - x) + x / (1 - x) ** 2)
+
+            assert tail(chk.terms + 1) < eps <= tail(chk.terms)

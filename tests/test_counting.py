@@ -1,8 +1,16 @@
+from fractions import Fraction
 from math import gcd, pi
 
 import pytest
 
-from npcount import SlopeRange, count_series, segment_exponents, symmetric_count, totient_sieve
+from npcount import (
+    SlopeRange,
+    count_series,
+    log_derivative_weights,
+    segment_exponents,
+    symmetric_count,
+    totient_sieve,
+)
 from npcount.counting import _series_from_weights, series_from_exponents
 from npcount.rho import rho_bruteforce
 
@@ -114,10 +122,39 @@ class TestCountSeries:
             assert s[0] == 1
             assert all(v >= 1 for v in s.values)
 
+    @pytest.mark.parametrize("n,lead", [(1000, golden.COUNT_1000_LEAD),
+                                        (10_000, golden.COUNT_10000_LEAD)])
+    def test_golden_leading_digits(self, series_half_10k, n, lead):
+        text = str(series_half_10k[n])
+        assert (text[:10], len(text) - 1) == lead
+
     def test_inexact_division_raises(self):
         # weight table not of log-derivative form: 2 a(2) = b(1) a(1) + b(2) a(0) = 3
         with pytest.raises(ArithmeticError):
             _series_from_weights([0, 1, 2], 2)
+
+
+class TestLogDerivativeWeights:
+    LIMIT = 200
+
+    @pytest.mark.parametrize("slope_range", list(SlopeRange))
+    def test_divisor_sum(self, slope_range):
+        e = segment_exponents(slope_range, self.LIMIT)
+        b = log_derivative_weights(e, self.LIMIT)
+        assert b[0] == 0
+        for k in range(1, self.LIMIT + 1):
+            assert b[k] == sum(d * e[d] for d in range(1, k + 1) if k % d == 0), k
+
+    @pytest.mark.parametrize("slope_range", list(SlopeRange))
+    def test_are_k_times_log_coefficients(self, slope_range):
+        # log Π (1 - x^m)^(-e(m)) = Σ_m e(m) Σ_j x^(jm)/j, expanded term by term
+        e = segment_exponents(slope_range, self.LIMIT)
+        log_coeffs = [Fraction(0)] * (self.LIMIT + 1)
+        for m in range(1, self.LIMIT + 1):
+            for j in range(1, self.LIMIT // m + 1):
+                log_coeffs[j * m] += Fraction(e[m], j)
+        b = log_derivative_weights(e, self.LIMIT)
+        assert [Fraction(b[k], k) for k in range(1, self.LIMIT + 1)] == log_coeffs[1:]
 
 
 class TestSymmetric:
