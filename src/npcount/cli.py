@@ -39,6 +39,23 @@ EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 EXIT_IO = 4
 
+# Input bounds, sized from measured cost on a 2-vCPU Xeon (Python 3.11,
+# mpmath on its pure-Python backend); a value over a bound is a usage error
+# raised before any work starts.
+
+#: Largest ``count --max`` and ``compare -n``: count_series(10^5) takes
+#: 95-110 s at 0.6 GB peak RSS, and the cost grows about as n^2.
+MAX_COUNT_HEIGHT = 100_000
+
+#: Largest ``rho --max-height``: the table at h = 320 takes 5-7 s, and the
+#: cost grows about as h^4.4.
+MAX_RHO_HEIGHT = 320
+
+#: Largest ``--bits``: at 1024 bits ``zeros refine`` (100 zeros) takes
+#: about 110 s and ``compare -n 5`` (25 zeros) about 38 s; kernel cost
+#: grows about as bits^1.7.
+MAX_BITS = 1024
+
 
 def _hp(value, digits: int) -> str:
     """Format an mpf with the given number of significant digits."""
@@ -57,8 +74,8 @@ def _catalog(args):
 
 
 def _rows_count(args):
-    if args.max < 0:
-        raise UsageError("--max must be >= 0")
+    if not 0 <= args.max <= MAX_COUNT_HEIGHT:
+        raise UsageError(f"--max must be in [0, {MAX_COUNT_HEIGHT}], got {args.max}")
     if args.range == "symmetric":
         if args.max == 0:
             values = [1]
@@ -74,8 +91,8 @@ def _rows_count(args):
 
 
 def _rows_rho(args):
-    if args.max_height < 0:
-        raise UsageError("--max-height must be >= 0")
+    if not 0 <= args.max_height <= MAX_RHO_HEIGHT:
+        raise UsageError(f"--max-height must be in [0, {MAX_RHO_HEIGHT}], got {args.max_height}")
     table = rho_recurrence_table(args.max_height)
     return ["h", "d", "rho"], [
         {"h": h, "d": d, "rho": str(v)} for h, d, v in table.entries()
@@ -84,8 +101,8 @@ def _rows_rho(args):
 
 def _rows_compare(args, ctx):
     ns = sorted(set(args.n))
-    if not ns or ns[0] < 1:
-        raise UsageError("every -n must be >= 1")
+    if not ns or ns[0] < 1 or ns[-1] > MAX_COUNT_HEIGHT:
+        raise UsageError(f"every -n must be in [1, {MAX_COUNT_HEIGHT}]")
     series = count_series(SlopeRange.HALF_OPEN_01, ns[-1])
     zeros = refine_catalog(_catalog(args)[:args.k_zeros], ctx)
     rows = []
@@ -237,6 +254,8 @@ def main(argv=None) -> int:
             ctx = PrecisionContext(args.bits)
         except (TypeError, ValueError) as exc:
             raise UsageError(str(exc)) from exc
+        if args.bits > MAX_BITS:
+            raise UsageError(f"--bits must be <= {MAX_BITS}, got {args.bits}")
         if args.digits < 1:
             raise UsageError(f"--digits must be >= 1, got {args.digits}")
         if args.command == "count":

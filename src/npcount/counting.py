@@ -9,7 +9,23 @@ denominator m. Coefficients are extracted with the log-derivative
     n * a(n) = sum_{k=1..n} b(k) * a(n-k),   b(k) = sum_{d|k} d * e(d),
 
 in exact arbitrary-size integers; the division by n must come out exact
-and is asserted.
+and is checked at every n.
+
+The sum is evaluated as a semi-relaxed convolution (van der Hoeven,
+"Relax, but don't be too lazy", 2002): the weights b are known in advance
+and each a(n) is needed as soon as its sum is complete, so the range
+[l, r) is split at mid, [l, mid) is solved first, the contribution of
+a(l..mid-1) to every sum in [mid, r) is added with one product, and then
+[mid, r) is solved. Blocks of at most ``_BASE_BLOCK`` heights are summed
+term by term. The product is a Kronecker substitution in base 10^w: both
+sequences are packed as zero-filled decimal strings into
+:class:`decimal.Decimal` integers, whose libmpdec backend multiplies large
+operands with a number-theoretic transform, and the slots are read back
+from the decimal string of the product. Every coefficient is >= 0, so the
+slot width w from the bound (terms) * max a * max b leaves no carries;
+the decimal context traps any rounding. This takes O(M(n) log n) digit
+operations for M(n) the cost of one product, where the plain sum took
+O(n^2) big-integer products.
 
 The weights b(k) are shared with the asymptotic side: since
 log F = Σ_k (b(k)/k) x^k, :func:`log_derivative_weights` over the [0, 1)
@@ -18,6 +34,7 @@ exponents e = φ also gives the direct series of log f(e^(-τ)) that
 """
 from __future__ import annotations
 
+import decimal
 import enum
 from dataclasses import dataclass
 from operator import mul
@@ -92,19 +109,64 @@ class CountSeries:
         return self.limit + 1
 
 
+#: Blocks of at most this many heights are summed term by term; larger ones
+#: are split in two and joined by one Kronecker-substituted product.
+_BASE_BLOCK = 256
+
+#: Decimal context for exact integer products: any rounding raises.
+_EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
+                         traps=[decimal.Inexact, decimal.Rounded])
+
+
+def _pack(digits: Sequence[str], width: int) -> decimal.Decimal:
+    """Σ_i digits[i] · 10^(width·i) as one decimal integer."""
+    return decimal.Decimal("".join([d.zfill(width) for d in reversed(digits)]))
+
+
 def _series_from_weights(b: Sequence[int], limit: int) -> list[int]:
-    """a(0..limit) from n a(n) = Σ b(k) a(n-k); raises if any division truncates."""
-    a = [1]
-    arev: list[int] = []  # a in reverse, so zip pairs b[k] with a[n-k]
-    for n in range(1, limit + 1):
-        arev.insert(0, a[-1])
-        s = sum(map(mul, b[1:n + 1], arev))
-        q, r = divmod(s, n)
-        if r:
-            raise ArithmeticError(
-                f"log-derivative recurrence not divisible at n={n}; "
-                "the weight table is inconsistent")
-        a.append(q)
+    """a(0..limit) from n a(n) = Σ b(k) a(n-k); raises if any division truncates.
+
+    b(1..limit) must be >= 0 (ValueError otherwise): the Kronecker packing
+    sizes its slots from that. See the module docstring for the scheme.
+    Slots pass through decimal strings, so a count longer than Python's
+    int/str digit limit (4300 digits by default; a(n) for [0, 1) reaches
+    it near n = 4·10^5) raises ValueError.
+    """
+    if any(v < 0 for v in b[1:limit + 1]):
+        raise ValueError("weights b(k) must be >= 0")
+    a = [1] + [0] * limit
+    a_digits = ["1"] + [""] * limit
+    b_digits = [str(v) for v in b[:limit + 1]]
+    brev = b[limit:0:-1]  # brev[limit - k] = b(k), so zip pairs b(n-j) with a(j)
+    s = [0] * (limit + 1)  # s[n]: Σ b(n-j) a(j) over the j already folded in
+
+    def solve(lo: int, hi: int) -> None:
+        if hi - lo <= _BASE_BLOCK:
+            for n in range(max(lo, 1), hi):
+                q, r = divmod(s[n] + sum(map(mul, brev[limit - n + lo:limit], a[lo:n])), n)
+                if r:
+                    raise ArithmeticError(
+                        f"log-derivative recurrence not divisible at n={n}; "
+                        "the weight table is inconsistent")
+                a[n] = q
+                a_digits[n] = str(q)
+            return
+        mid = (lo + hi) // 2
+        solve(lo, mid)
+        # slot t of (a(lo..mid-1)) * (b(1..hi-lo-1)) is a sum of at most
+        # mid - lo products and goes to n = lo + 1 + t
+        width = len(str((mid - lo) * max(a[lo:mid]) * max(b[1:hi - lo])))
+        prod = str(_EXACT.multiply(_pack(a_digits[lo:mid], width),
+                                   _pack(b_digits[1:hi - lo], width)))
+        end = len(prod) - width * (mid - lo - 1)
+        for n in range(mid, hi):
+            if end <= 0:
+                break
+            s[n] += int(prod[max(end - width, 0):end])
+            end -= width
+        solve(mid, hi)
+
+    solve(0, limit + 1)
     return a
 
 
@@ -125,7 +187,12 @@ def log_derivative_weights(e: Sequence[int], limit: int) -> list[int]:
 
 
 def series_from_exponents(e: Sequence[int], limit: int) -> list[int]:
-    """Coefficients a(0..limit) of the product over m of (1 - x^m)^(-e(m))."""
+    """Coefficients a(0..limit) of the product over m of (1 - x^m)^(-e(m)).
+
+    e(1..limit) must be >= 0; a negative exponent raises ValueError.
+    """
+    if any(v < 0 for v in e[1:limit + 1]):
+        raise ValueError("exponents e(m) must be >= 0")
     return _series_from_weights(log_derivative_weights(e, limit), limit)
 
 
@@ -151,5 +218,5 @@ def symmetric_count(gmax: int) -> list[int]:
     half = count_series(SlopeRange.CLOSED_0_HALF, gmax)
     out = [1]
     for g in range(1, gmax + 1):
-        out.append(half[g] + (half[g - 1] if g >= 1 else 0))
+        out.append(half[g] + half[g - 1])
     return out

@@ -1,12 +1,27 @@
 """The two-variable table ρ(h, d): polygons of height h and depth d, slopes in [0, 1).
 
-Two independent routes:
+A polygon is a multiset of primitive segments (m, n) with 0 <= n < m and
+gcd(m, n) = 1, of total run h and total rise d, so
 
-* :func:`rho_recurrence_table` fills the triangle with the bilinear
-  recurrence ρ(h,d) = Σ ρ(α,β) ρ(γ,γ-δ) over α+δ = h-d, β+γ = d, which
-  follows from splitting a polygon at slope 1/2 and shearing both halves.
+    Σ_{h,d} ρ(h,d) x^h y^d = Π_{(m,n)} (1 - x^m y^n)^(-1).
+
+Two routes:
+
+* :func:`rho_recurrence_table` takes the log derivative in x of this
+  product (a bivariate Euler transform):
+
+      h R_h(y) = Σ_{k=1..h} B_k(y) R_{h-k}(y),
+      B_k(y) = Σ_{m|k} m Σ_{0<=n<m, gcd(m,n)=1} y^(n k/m),
+
+  with R_h(y) = Σ_d ρ(h,d) y^d. Each polynomial in y is packed into one
+  integer, one fixed-width byte slot per power of y, so a product of
+  polynomials is one integer product.
 * :func:`rho_bruteforce` counts segment multisets directly (oracle scale,
   h <= 40).
+
+The paper's bilinear recurrence ρ(h,d) = Σ ρ(α,β) ρ(γ,γ-δ) over
+α+δ = h-d, β+γ = d (split at slope 1/2 and shear both halves) is kept in
+the tests as a third, independent check.
 
 Base cases: ρ(h,0) = 1 (the all-flat polygon) and ρ(h,d) = 0 for
 d >= max(1, h); everything outside the triangle reads as zero.
@@ -14,8 +29,10 @@ d >= max(1, h); everything outside the triangle reads as zero.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
+from operator import mul
 
-from .counting import SlopeRange
+from .counting import SlopeRange, count_series
 from .polygons import admissible_segments, count_segment_multisets
 
 BRUTEFORCE_MAX_HEIGHT = 40
@@ -57,42 +74,45 @@ class RhoTable:
 
 
 def rho_recurrence_table(max_height: int) -> RhoTable:
-    """Fill ρ(h, d) for 0 <= d <= h <= max_height by the bilinear recurrence.
+    """Fill ρ(h, d) for 0 <= d <= h <= max_height by the bivariate Euler transform.
 
-    Rows are filled with h ascending; for 1 <= d <= h-1 the right-hand
-    side only reads heights α <= h-d and γ <= d, both already complete.
+    Every coefficient of h R_h(y) lies in [0, h a(h)] with a(h) = R_h(1)
+    nondecreasing, so byte slots that hold max_height · a(max_height) never
+    carry into each other; a carry past the last slot raises OverflowError,
+    and each division by h must come out exact (ArithmeticError otherwise).
     """
     if max_height < 0:
         raise ValueError("max_height must be >= 0")
-    rows: list[list[int]] = []
+    if max_height == 0:
+        return RhoTable(0, ((1,),))
+    top = count_series(SlopeRange.HALF_OPEN_01, max_height)[max_height]
+    width = (max_height * top).bit_length() // 8 + 1
 
-    def lookup(h: int, d: int) -> int:
-        if d < 0 or h < 0:
-            return 0
-        if d == 0:
-            return 1
-        if d >= max(1, h):
-            return 0
-        return rows[h][d]
+    def pack(coeffs) -> int:
+        return int.from_bytes(b"".join([c.to_bytes(width, "little") for c in coeffs]), "little")
 
-    for h in range(max_height + 1):
-        row = [0] * (h + 1)
-        row[0] = 1
-        for d in range(1, h):
-            acc = 0
-            hd = h - d
-            for alpha in range(hd + 1):
-                delta = hd - alpha
-                for beta in range(d + 1):
-                    left = lookup(alpha, beta)
-                    if left:
-                        gamma = d - beta
-                        right = lookup(gamma, gamma - delta)
-                        if right:
-                            acc += left * right
-            row[d] = acc
-        rows.append(row)
-    return RhoTable(max_height, tuple(tuple(r) for r in rows))
+    weights = [[0] * k for k in range(max_height + 1)]  # B_k(y) has degree < k
+    for m in range(1, max_height + 1):
+        residues = [n for n in range(m) if gcd(m, n) == 1]
+        for k in range(m, max_height + 1, m):
+            step = k // m
+            for n in residues:
+                weights[k][n * step] += m
+    packed_weights = [pack(w) for w in weights]
+
+    packed_rows = [1]  # R_0(y) = 1
+    rows = [(1,)]
+    for h in range(1, max_height + 1):
+        raw = sum(map(mul, packed_weights[h:0:-1], packed_rows)).to_bytes(width * h, "little")
+        row = []
+        for d in range(h):
+            q, r = divmod(int.from_bytes(raw[d * width:(d + 1) * width], "little"), h)
+            if r:
+                raise ArithmeticError(f"bivariate Euler transform not divisible at (h, d) = ({h}, {d})")
+            row.append(q)
+        packed_rows.append(pack(row))
+        rows.append(tuple(row) + (0,))
+    return RhoTable(max_height, tuple(rows))
 
 
 def rho_bruteforce(h: int, d: int, slope_range: SlopeRange = SlopeRange.HALF_OPEN_01) -> int:

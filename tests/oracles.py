@@ -1,6 +1,7 @@
 """Slow, independent reference implementations used only by tests."""
 from collections import Counter
 from math import gcd
+from operator import mul
 
 import mpmath as mp
 
@@ -18,6 +19,62 @@ def product_series(exponents, limit):
             for i in range(m, limit + 1):
                 a[i] += a[i - m]
     return a
+
+
+def series_quadratic_reference(b, limit):
+    """a(0..limit) from n a(n) = Σ_{k=1..n} b(k) a(n-k), summed term by term.
+
+    The O(n^2) route the library replaced with a relaxed convolution; raises
+    ArithmeticError if a division by n truncates.
+    """
+    a = [1]
+    arev = []  # a in reverse, so zip pairs b[k] with a[n-k]
+    for n in range(1, limit + 1):
+        arev.insert(0, a[-1])
+        q, r = divmod(sum(map(mul, b[1:n + 1], arev)), n)
+        if r:
+            raise ArithmeticError(f"not divisible at n={n}")
+        a.append(q)
+    return a
+
+
+def rho_bilinear_reference(max_height):
+    """Rows of ρ(h, d), 0 <= d <= h <= max_height, by the paper's bilinear recurrence.
+
+    ρ(h,d) = Σ ρ(α,β) ρ(γ,γ-δ) over α+δ = h-d, β+γ = d, from splitting a
+    polygon at slope 1/2 and shearing both halves; ρ(h,0) = 1 and ρ(h,d) = 0
+    for d >= max(1, h). Rows are filled with h ascending: for 1 <= d <= h-1
+    the right-hand side reads only heights α <= h-d and γ <= d. O(h^4).
+    """
+    rows = []
+
+    def lookup(h, d):
+        if d < 0 or h < 0:
+            return 0
+        if d == 0:
+            return 1
+        if d >= max(1, h):
+            return 0
+        return rows[h][d]
+
+    for h in range(max_height + 1):
+        row = [0] * (h + 1)
+        row[0] = 1
+        for d in range(1, h):
+            acc = 0
+            hd = h - d
+            for alpha in range(hd + 1):
+                delta = hd - alpha
+                for beta in range(d + 1):
+                    left = lookup(alpha, beta)
+                    if left:
+                        gamma = d - beta
+                        right = lookup(gamma, gamma - delta)
+                        if right:
+                            acc += left * right
+            row[d] = acc
+        rows.append(row)
+    return tuple(tuple(r) for r in rows)
 
 
 def count_coprime_slopes(m, num_ok):

@@ -6,9 +6,24 @@ import re
 import pytest
 
 import npcount.asymptotics as amod
-from npcount import PrecisionContext, logf_expansion_check
+from npcount import (
+    PrecisionContext,
+    SlopeRange,
+    count_series,
+    logf_expansion_check,
+    rho_recurrence_table,
+    symmetric_count,
+)
 from npcount.asymptotics import TruncationError
-from npcount.cli import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
+from npcount.cli import (
+    EXIT_NUMERIC,
+    EXIT_OK,
+    EXIT_USAGE,
+    MAX_BITS,
+    MAX_COUNT_HEIGHT,
+    MAX_RHO_HEIGHT,
+    main,
+)
 
 
 def run(capsys, *argv):
@@ -59,3 +74,71 @@ class TestLogfCheck:
         assert logf_expansion_check(floor, (), 0, ctx).terms <= 1000
         with pytest.raises(TruncationError):
             logf_expansion_check(float(floor) * 0.99, (), 0, ctx)
+
+
+def csv_rows(text):
+    return list(csv.DictReader(io.StringIO(text)))
+
+
+class TestCount:
+    @pytest.mark.parametrize("argv", [("count", "--max", "300"),
+                                      ("rho", "--max-height", "20")])
+    def test_repeat_runs_byte_identical(self, capsys, argv):
+        first = run(capsys, *argv)
+        second = run(capsys, *argv)
+        assert first[0] == EXIT_OK
+        assert first == second
+
+    @pytest.mark.parametrize("name,slope_range", [("half-open", SlopeRange.HALF_OPEN_01),
+                                                  ("closed", SlopeRange.CLOSED_01),
+                                                  ("half", SlopeRange.CLOSED_0_HALF)])
+    def test_rows_equal_library_values(self, capsys, name, slope_range):
+        code, out, _ = run(capsys, "count", "--max", "60", "--range", name)
+        assert code == EXIT_OK
+        rows = csv_rows(out)
+        assert [(int(r["n"]), int(r["count"])) for r in rows] == \
+            list(enumerate(count_series(slope_range, 60).values))
+
+    def test_symmetric_range(self, capsys):
+        code, out, _ = run(capsys, "count", "--max", "30", "--range", "symmetric")
+        assert code == EXIT_OK
+        assert [int(r["count"]) for r in csv_rows(out)] == symmetric_count(30)
+        code, out, _ = run(capsys, "count", "--max", "0", "--range", "symmetric")
+        assert code == EXIT_OK
+        assert csv_rows(out) == [{"n": "0", "count": "1"}]
+
+    def test_rho_rows_equal_library_table(self, capsys):
+        code, out, _ = run(capsys, "rho", "--max-height", "25")
+        assert code == EXIT_OK
+        rows = [(int(r["h"]), int(r["d"]), int(r["rho"])) for r in csv_rows(out)]
+        assert rows == list(rho_recurrence_table(25).entries())
+
+
+class TestBounds:
+    @pytest.mark.parametrize("argv,flag", [
+        (("count", "--max", "-1"), "--max"),
+        (("count", "--max", str(MAX_COUNT_HEIGHT + 1)), "--max"),
+        (("count", "--max", str(MAX_COUNT_HEIGHT + 1), "--range", "symmetric"), "--max"),
+        (("rho", "--max-height", "-1"), "--max-height"),
+        (("rho", "--max-height", str(MAX_RHO_HEIGHT + 1)), "--max-height"),
+        (("compare", "-n", "0"), "-n"),
+        (("compare", "-n", "10", "-n", str(MAX_COUNT_HEIGHT + 1)), "-n"),
+        (("count", "--max", "5", "--bits", str(MAX_BITS + 1)), "--bits"),
+        (("count", "--max", "5", "--bits", "63"), "bits"),
+    ])
+    def test_out_of_range_is_usage_error(self, capsys, monkeypatch, argv, flag):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("work started before the bound was checked")
+        monkeypatch.setattr("npcount.cli.count_series", forbidden)
+        monkeypatch.setattr("npcount.cli.symmetric_count", forbidden)
+        monkeypatch.setattr("npcount.cli.rho_recurrence_table", forbidden)
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert flag in err
+        assert "Traceback" not in err
+
+    def test_bounds_are_inclusive(self, capsys):
+        code, out, _ = run(capsys, "count", "--max", "3", "--bits", str(MAX_BITS))
+        assert code == EXIT_OK
+        assert out == "n,count\n0,1\n1,1\n2,2\n3,4\n"

@@ -2,6 +2,8 @@ from fractions import Fraction
 from math import gcd, pi
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from npcount import (
     SlopeRange,
@@ -11,7 +13,7 @@ from npcount import (
     symmetric_count,
     totient_sieve,
 )
-from npcount.counting import _series_from_weights, series_from_exponents
+from npcount.counting import _BASE_BLOCK, _series_from_weights, series_from_exponents
 from npcount.rho import rho_bruteforce
 
 import golden
@@ -132,6 +134,39 @@ class TestCountSeries:
         # weight table not of log-derivative form: 2 a(2) = b(1) a(1) + b(2) a(0) = 3
         with pytest.raises(ArithmeticError):
             _series_from_weights([0, 1, 2], 2)
+
+    def test_inexact_division_beyond_first_block_raises(self):
+        # b(300) reaches s(300) only through a block product, not the direct sum
+        limit = 600
+        b = log_derivative_weights(segment_exponents(SlopeRange.HALF_OPEN_01, limit), limit)
+        b[300] += 1
+        with pytest.raises(ArithmeticError, match="n=300"):
+            _series_from_weights(b, limit)
+
+    def test_negative_weight_rejected(self):
+        with pytest.raises(ValueError, match="b\\(k\\)"):
+            _series_from_weights([0, 1, -1], 2)
+
+    def test_negative_exponent_rejected(self):
+        # e = (2, -1) gives weights b = (2, 0) >= 0, but the exponent itself is refused
+        with pytest.raises(ValueError, match="e\\(m\\)"):
+            series_from_exponents([0, 2, -1], 2)
+
+    @settings(max_examples=30, deadline=None)
+    @given(limit=st.integers(1, 3 * _BASE_BLOCK), slope_range=st.sampled_from(list(SlopeRange)))
+    @example(limit=_BASE_BLOCK, slope_range=SlopeRange.HALF_OPEN_01)
+    @example(limit=_BASE_BLOCK + 1, slope_range=SlopeRange.CLOSED_01)
+    @example(limit=2 * _BASE_BLOCK + 1, slope_range=SlopeRange.CLOSED_0_HALF)
+    def test_fast_route_equals_quadratic_reference(self, limit, slope_range):
+        b = log_derivative_weights(segment_exponents(slope_range, limit), limit)
+        assert _series_from_weights(b, limit) == oracles.series_quadratic_reference(b, limit)
+
+    def test_sparse_exponents_across_blocks(self):
+        # 1/((1 - x^300)(1 - x^7)): long runs of a(n) = 0 and a non-monotone a
+        limit = 3 * _BASE_BLOCK
+        e = [0] * (limit + 1)
+        e[7] = e[300] = 1
+        assert series_from_exponents(e, limit) == oracles.product_series(e, limit)
 
 
 class TestLogDerivativeWeights:

@@ -1,9 +1,11 @@
 import pytest
 
+import npcount.rho as rho_mod
 from npcount import SlopeRange, admissible_segments, count_segment_multisets, count_series
 from npcount.rho import RhoTable, rho_bruteforce, rho_recurrence_table
 
 import golden
+import oracles
 
 
 @pytest.fixture(scope="module")
@@ -51,6 +53,17 @@ def test_recurrence_equals_bruteforce_up_to_10():
     for h in range(11):
         for d in range(h + 1):
             assert t.value(h, d) == rho_bruteforce(h, d), (h, d)
+
+
+def test_equals_bilinear_recurrence_up_to_30():
+    assert rho_recurrence_table(30).rows == oracles.rho_bilinear_reference(30)
+
+
+def test_slot_overflow_raises(monkeypatch):
+    # a bound a(h) = 1 gives 1-byte slots, which ρ at h = 30 overflows
+    monkeypatch.setattr(rho_mod, "count_series", lambda slope_range, limit: [1] * (limit + 1))
+    with pytest.raises(ArithmeticError):
+        rho_recurrence_table(30)
 
 
 def test_duality_up_to_10(table15):
