@@ -4,8 +4,8 @@ Exact side: arbitrary-size-integer counts of polygons by height for the
 slope ranges [0, 1), [0, 1] and [0, 1/2], the symmetric-polygon counts,
 and the triangular (height, depth) table. Asymptotic side: the saddle
 main term, residue coefficients of non-trivial zeta zeros and their
-oscillatory corrections, evaluated with a self-contained high-precision
-Γ/ζ/ζ′ kernel.
+oscillatory corrections, evaluated with high-precision Γ/ζ/ζ′ from
+mpmath behind pole-checked, conjugate-symmetric, rounded wrappers.
 """
 from .asymptotics import (
     AsymptoticBreakdown,

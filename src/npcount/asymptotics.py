@@ -377,9 +377,13 @@ def logf_expansion_check(tau, zeros: Sequence[ZetaZero] = (), k: int = 0,
     than 3 M³ 2^-P < ε. With the tail, direct is within 2ε of log f(x);
     since log f(x) >= x/(1-x) >= 1/(2τ) >= 1/2, that is a relative error
     below 2^(2-bits-guard).
+
+    C and K enter the expansion at bits + guard, not rounded to bits: the
+    residual cancels the leading digits of (C/2) τ^(-2).
     """
-    C = constant_C(ctx)
-    K = constant_K(ctx)
+    wide = PrecisionContext(ctx.bits + GUARD_BITS)
+    C = constant_C(wide)
+    K = constant_K(wide)
     with ctx.working():
         tau = mp.mpf(tau)
         if not 0 < tau <= 1:

@@ -52,8 +52,8 @@ MAX_COUNT_HEIGHT = 100_000
 MAX_RHO_HEIGHT = 320
 
 #: Largest ``--bits``: at 1024 bits ``zeros refine`` (100 zeros) takes
-#: about 110 s and ``compare -n 5`` (25 zeros) about 38 s; kernel cost
-#: grows about as bits^1.7.
+#: about 80 s and ``compare -n 5`` (25 zeros) about 25 s; from 192 to 1024
+#: bits, kernel cost grows about as bits^1.4.
 MAX_BITS = 1024
 
 

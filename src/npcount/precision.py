@@ -38,11 +38,6 @@ class PrecisionContext:
         if self.bits < MIN_BITS:
             raise ValueError(f"bits must be >= {MIN_BITS}, got {self.bits}")
 
-    @property
-    def eps(self) -> HPReal:
-        """One ulp at unit scale: 2**(1 - bits)."""
-        return mp.mpf(2) ** (1 - self.bits)
-
     def working(self):
         """mpmath precision context at bits + guard (for internal math)."""
         return mp.workprec(self.bits + GUARD_BITS)
@@ -66,6 +61,3 @@ class PrecisionContext:
         """Round an mpf/mpc result to the nominal precision."""
         with self.final():
             return +v
-
-
-DEFAULT_CONTEXT = PrecisionContext(DEFAULT_BITS)

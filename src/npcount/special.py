@@ -1,210 +1,45 @@
 """High-precision Γ, ζ and ζ′ on the complex plane, plus the growth constants.
 
-Algorithms
-----------
-* Γ(s): Stirling's asymptotic series for log Γ after an upward recurrence
-  shift to ℜ(s) ≥ bits/4; reflection formula for ℜ(s) < 1/2. No fixed
-  coefficient tables — the series length adapts to the precision.
-* ζ(s): Euler–Maclaurin with N = max(32, ⌈|ℑ(s)|⌉ + bits/2) direct terms
-  and up to bits/4 Bernoulli corrections; the functional equation extends
-  it to ℜ(s) < 0.
-* ζ′(s): term-wise differentiation of the same Euler–Maclaurin sum (never
-  finite differences); for ℜ(s) < 0 the differentiated functional equation,
-  written so nothing divides by sin(πs/2) at the trivial zeros.
+Every evaluation is mpmath's:
 
-Bernoulli numbers are exact rationals derived from tangent numbers and
-cached process-wide behind a lock. All operations are deterministic for a
-fixed :class:`~npcount.precision.PrecisionContext`; arguments in the lower
-half-plane are evaluated as conjugates of their mirror image, so Schwarz
-reflection (f(conj s) = conj f(s)) holds bit-exactly.
+* :func:`complex_gamma` is ``mp.gamma``;
+* :func:`complex_zeta` is ``mp.zeta``;
+* :func:`zeta_derivative` is ``mp.zeta(s, derivative=1)``;
+* :func:`zeta_with_derivative` is the pair of the two ζ calls;
+* :func:`bernoulli_even` is ``mp.bernfrac``;
+* :func:`constant_C` and :func:`constant_K` are ``mp.zeta`` at 3, 2 and -1.
 
-Relative error of every public operation is at most 2**(8 - bits) away
-from zeros/poles of the target function.
+The wrappers add four things. They raise :class:`PoleError` within
+machine tolerance of a pole instead of returning garbage. They evaluate
+arguments in the lower half-plane as conjugates of their mirror image, so
+Schwarz reflection (f(conj s) = conj f(s)) holds bit-exactly. They compute
+at bits + guard under a :class:`~npcount.precision.PrecisionContext` and
+round to its nominal precision, so a fixed context and fixed inputs give
+bit-identical results. And they keep the contract that the relative error
+of every public operation is at most 2**(8 - bits) away from zeros/poles
+of the target function.
 """
 from __future__ import annotations
 
 import functools
-import threading
 from fractions import Fraction
 
 import mpmath as mp
 
-from .precision import GUARD_BITS, HPComplex, HPReal, PrecisionContext
+from .precision import HPComplex, HPReal, PrecisionContext
 
 
 class PoleError(ArithmeticError):
     """Evaluation was requested at (or too close to) a pole."""
 
 
-# ---------------------------------------------------------------------------
-# Bernoulli numbers
-# ---------------------------------------------------------------------------
-
-_bernoulli_lock = threading.Lock()
-_bernoulli_even: list[Fraction] = []  # [B_2, B_4, ...]
-
-
-def _tangent_numbers(m: int) -> list[int]:
-    """First m tangent numbers T_1..T_m (integer Seidel triangle)."""
-    T = [0] * (m + 1)
-    T[1] = 1
-    for k in range(2, m + 1):
-        T[k] = (k - 1) * T[k - 1]
-    for k in range(2, m + 1):
-        for j in range(k, m + 1):
-            T[j] = (j - k) * T[j - 1] + (j - k + 2) * T[j]
-    return T[1:]
-
-
 def bernoulli_even(count: int) -> list[Fraction]:
-    """[B_2, B_4, ..., B_{2*count}] as exact rationals.
-
-    B_{2n} = (-1)^(n-1) * T_n * 2n / (4^n (4^n - 1)); the cache only grows.
-    """
-    with _bernoulli_lock:
-        if count > len(_bernoulli_even):
-            # grow in blocks so repeated slightly-larger requests stay cheap
-            target = max(count, 2 * len(_bernoulli_even), 32)
-            T = _tangent_numbers(target)
-            _bernoulli_even.clear()
-            for n in range(1, target + 1):
-                num = T[n - 1] * 2 * n * (1 if n % 2 == 1 else -1)
-                den = (1 << (2 * n)) * ((1 << (2 * n)) - 1)
-                _bernoulli_even.append(Fraction(num, den))
-        return _bernoulli_even[:count]
-
-
-def _bern_mpf(frac: Fraction) -> HPReal:
-    return mp.mpf(frac.numerator) / frac.denominator
-
-
-# ---------------------------------------------------------------------------
-# internals (assume an ambient mp.workprec of bits + GUARD_BITS)
-# ---------------------------------------------------------------------------
-
-
-def _gamma(s: HPComplex, bits: int) -> HPComplex:
-    if mp.re(s) < 0.5:
-        return mp.pi / (mp.sinpi(s) * _gamma(1 - s, bits))
-    threshold = max(16, bits // 4)
-    nshift = max(0, int(mp.ceil(threshold - mp.re(s))))
-    z = s + nshift
-    lg = (z - mp.mpf(1) / 2) * mp.log(z) - z + mp.log(2 * mp.pi) / 2
-    B = bernoulli_even(max(16, bits // 2))
-    zpow = 1 / z
-    z2inv = zpow * zpow
-    eps = mp.mpf(2) ** (-(bits + GUARD_BITS + 4))
-    for k, b in enumerate(B, start=1):
-        term = _bern_mpf(b) / (2 * k * (2 * k - 1)) * zpow
-        lg += term
-        if abs(term) < eps * max(1, abs(lg)):
-            break
-        zpow *= z2inv
-    g = mp.exp(lg)
-    if nshift:
-        p = mp.mpc(1)
-        for j in range(nshift):
-            p *= s + j
-        g /= p
-    return g
-
-
-def _zeta_em_pair(s: HPComplex, bits: int, want_deriv: bool) -> tuple[HPComplex, HPComplex]:
-    """Euler-Maclaurin (ζ(s), ζ′(s)) for ℜ(s) ≥ 0, s ≠ 1."""
-    N = max(32, int(mp.ceil(abs(mp.im(s)))) + bits // 2)
-    M = max(16, bits // 4)
-    B = bernoulli_even(M)
-    z = mp.mpc(0)
-    zd = mp.mpc(0)
-    for n in range(1, N):
-        p = mp.power(n, -s)
-        z += p
-        if want_deriv:
-            zd -= mp.log(n) * p
-    Nm = mp.mpf(N)
-    lnN = mp.log(Nm)
-    tail = mp.power(Nm, 1 - s) / (s - 1)
-    z += tail
-    if want_deriv:
-        zd += -lnN * tail - tail / (s - 1)
-    half = mp.power(Nm, -s) / 2
-    z += half
-    if want_deriv:
-        zd -= lnN * half
-    rising = s            # s(s+1)...(s+2k-2), here k = 1
-    risingd = mp.mpc(1)   # its derivative in s
-    Npow = mp.power(Nm, -s - 1)
-    Ninv2 = mp.power(Nm, -2)
-    fact = 2              # (2k)!
-    eps = mp.mpf(2) ** (-(bits + GUARD_BITS))
-    for k, b in enumerate(B, start=1):
-        coeff = _bern_mpf(b) / fact
-        term = coeff * rising * Npow
-        z += term
-        if want_deriv:
-            zd += coeff * Npow * (risingd - lnN * rising)
-        if abs(term) < eps * abs(z):
-            break
-        f1 = s + 2 * k - 1
-        f2 = s + 2 * k
-        risingd = risingd * f1 * f2 + rising * (f1 + f2)
-        rising = rising * f1 * f2
-        Npow *= Ninv2
-        fact *= (2 * k + 1) * (2 * k + 2)
-    return z, zd
-
-
-def _digamma(z: HPComplex, bits: int) -> HPComplex:
-    """ψ(z) for ℜ(z) > 0, via the Stirling-type series after a shift."""
-    threshold = max(16, bits // 4)
-    nshift = max(0, int(mp.ceil(threshold - mp.re(z))))
-    shifted = mp.mpc(0)
-    for j in range(nshift):
-        shifted += 1 / (z + j)
-    w = z + nshift
-    res = mp.log(w) - 1 / (2 * w) - shifted
-    B = bernoulli_even(max(16, bits // 2))
-    w2inv = 1 / (w * w)
-    wpow = w2inv
-    eps = mp.mpf(2) ** (-(bits + GUARD_BITS + 4))
-    for k, b in enumerate(B, start=1):
-        term = _bern_mpf(b) / (2 * k) * wpow
-        res -= term
-        if abs(term) < eps * max(1, abs(res)):
-            break
-        wpow *= w2inv
-    return res
-
-
-def _zeta(s: HPComplex, bits: int) -> HPComplex:
-    if mp.re(s) >= 0:
-        return _zeta_em_pair(s, bits, want_deriv=False)[0]
-    # ζ(s) = 2^s π^(s-1) sin(πs/2) Γ(1-s) ζ(1-s); sinpi is exact at the
-    # trivial zeros, so ζ(-2k) comes out exactly 0
-    factor = (mp.power(2, s) * mp.power(mp.pi, s - 1)
-              * _gamma(1 - s, bits) * _zeta_em_pair(1 - s, bits, False)[0])
-    return factor * mp.sinpi(s / 2)
-
-
-def _zeta_deriv(s: HPComplex, bits: int) -> HPComplex:
-    if mp.re(s) >= 0:
-        return _zeta_em_pair(s, bits, want_deriv=True)[1]
-    z1, zd1 = _zeta_em_pair(1 - s, bits, want_deriv=True)
-    # With A(s) = 2^s π^(s-1) Γ(1-s) ζ(1-s)  (so ζ(s) = A sin(πs/2)):
-    #   ζ′(s) = A [ (log 2π − ψ(1−s) − ζ′(1−s)/ζ(1−s)) sin(πs/2) + (π/2) cos(πs/2) ]
-    # ζ(1−s) ≠ 0 because ℜ(1−s) > 1.
-    A = mp.power(2, s) * mp.power(mp.pi, s - 1) * _gamma(1 - s, bits) * z1
-    logfac = mp.log(2 * mp.pi) - _digamma(1 - s, bits) - zd1 / z1
-    return A * (logfac * mp.sinpi(s / 2) + mp.pi / 2 * mp.cospi(s / 2))
-
-
-# ---------------------------------------------------------------------------
-# public surface
-# ---------------------------------------------------------------------------
+    """[B_2, B_4, ..., B_{2*count}] as exact rationals."""
+    return [Fraction(*mp.bernfrac(2 * n)) for n in range(1, count + 1)]
 
 
 def _near_nonpositive_integer(s: HPComplex, bits: int) -> bool:
-    re, im = mp.re(s), mp.im(s)
+    re = mp.re(s)
     if re > 0.25:
         return False
     nearest = mp.floor(re + mp.mpf(1) / 2)
@@ -212,6 +47,19 @@ def _near_nonpositive_integer(s: HPComplex, bits: int) -> bool:
         return False
     tol = mp.mpf(2) ** (8 - bits) * max(1, abs(s))
     return abs(s - nearest) <= tol
+
+
+def _check_zeta_pole(s: HPComplex, bits: int) -> None:
+    tol = mp.mpf(2) ** (8 - bits)
+    if abs(s - 1) <= tol:
+        raise PoleError("zeta pole at s = 1")
+
+
+def _mirrored(f, s: HPComplex, ctx: PrecisionContext) -> HPComplex:
+    """f(s) rounded by ctx; for ℑ(s) < 0, conj(f(conj s)) instead."""
+    if mp.im(s) < 0:
+        return ctx.round(mp.conj(mp.mpc(f(mp.conj(s)))))
+    return ctx.round(mp.mpc(f(s)))
 
 
 def complex_gamma(s, ctx: PrecisionContext = PrecisionContext()) -> HPComplex:
@@ -223,15 +71,7 @@ def complex_gamma(s, ctx: PrecisionContext = PrecisionContext()) -> HPComplex:
         s = mp.mpc(s)
         if _near_nonpositive_integer(s, ctx.bits):
             raise PoleError(f"gamma pole at non-positive integer near {s}")
-        if mp.im(s) < 0:
-            return ctx.round(mp.conj(_gamma(mp.conj(s), ctx.bits)))
-        return ctx.round(_gamma(s, ctx.bits))
-
-
-def _check_zeta_pole(s: HPComplex, bits: int) -> None:
-    tol = mp.mpf(2) ** (8 - bits)
-    if abs(s - 1) <= tol:
-        raise PoleError("zeta pole at s = 1")
+        return _mirrored(mp.gamma, s, ctx)
 
 
 def complex_zeta(s, ctx: PrecisionContext = PrecisionContext()) -> HPComplex:
@@ -239,9 +79,7 @@ def complex_zeta(s, ctx: PrecisionContext = PrecisionContext()) -> HPComplex:
     with ctx.working():
         s = mp.mpc(s)
         _check_zeta_pole(s, ctx.bits)
-        if mp.im(s) < 0:
-            return ctx.round(mp.conj(_zeta(mp.conj(s), ctx.bits)))
-        return ctx.round(_zeta(s, ctx.bits))
+        return _mirrored(mp.zeta, s, ctx)
 
 
 def zeta_derivative(s, ctx: PrecisionContext = PrecisionContext()) -> HPComplex:
@@ -249,35 +87,21 @@ def zeta_derivative(s, ctx: PrecisionContext = PrecisionContext()) -> HPComplex:
     with ctx.working():
         s = mp.mpc(s)
         _check_zeta_pole(s, ctx.bits)
-        if mp.im(s) < 0:
-            return ctx.round(mp.conj(_zeta_deriv(mp.conj(s), ctx.bits)))
-        return ctx.round(_zeta_deriv(s, ctx.bits))
+        return _mirrored(lambda z: mp.zeta(z, derivative=1), s, ctx)
 
 
 def zeta_with_derivative(s, ctx: PrecisionContext = PrecisionContext()) -> tuple[HPComplex, HPComplex]:
-    """(ζ(s), ζ′(s)) in one Euler-Maclaurin pass (cheaper than two calls)."""
-    with ctx.working():
-        s = mp.mpc(s)
-        _check_zeta_pole(s, ctx.bits)
-        conj = mp.im(s) < 0
-        if conj:
-            s = mp.conj(s)
-        if mp.re(s) >= 0:
-            z, zd = _zeta_em_pair(s, ctx.bits, want_deriv=True)
-        else:
-            z, zd = _zeta(s, ctx.bits), _zeta_deriv(s, ctx.bits)
-        if conj:
-            z, zd = mp.conj(z), mp.conj(zd)
-        return ctx.round(z), ctx.round(zd)
+    """(ζ(s), ζ′(s)): :func:`complex_zeta` and :func:`zeta_derivative` at one point."""
+    return complex_zeta(s, ctx), zeta_derivative(s, ctx)
 
 
 @functools.lru_cache(maxsize=None)
 def _constants(bits: int) -> tuple[HPReal, HPReal]:
     ctx = PrecisionContext(bits)
     with ctx.working():
-        c = 2 * _zeta(mp.mpc(3), bits) / _zeta(mp.mpc(2), bits)
-        k = mp.exp(-2 * _zeta_deriv(mp.mpc(-1), bits) - mp.log(2 * mp.pi) / 6)
-        return ctx.round(mp.re(c)), ctx.round(mp.re(k))
+        c = 2 * mp.zeta(3) / mp.zeta(2)
+        k = mp.exp(-2 * mp.zeta(-1, derivative=1) - mp.log(2 * mp.pi) / 6)
+        return ctx.round(c), ctx.round(k)
 
 
 def constant_C(ctx: PrecisionContext = PrecisionContext()) -> HPReal:

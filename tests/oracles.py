@@ -149,3 +149,22 @@ def logf_direct_reference(tau, bits):
             xm *= x
             if xm * (m * inv + shift) < rel * total * (1 - xm):
                 return total
+
+
+def zeta_derivative_reflection(s, bits):
+    """ζ′(s) for ℜ(s) < 0 by the differentiated functional equation, at bits + 64.
+
+    With A(s) = 2^s π^(s-1) Γ(1-s) ζ(1-s), so that ζ(s) = A sin(πs/2),
+
+        ζ′(s) = A [(log 2π − ψ(1−s) − ζ′(1−s)/ζ(1−s)) sin(πs/2) + (π/2) cos(πs/2)],
+
+    written so nothing divides by sin(πs/2) at the trivial zeros. Only ζ
+    and ζ′ at 1 − s, where ℜ(1 − s) > 1 and ζ(1 − s) ≠ 0, are needed.
+    """
+    with mp.workprec(bits + 64):
+        s = mp.mpc(s)
+        z1 = mp.zeta(1 - s)
+        zd1 = mp.zeta(1 - s, derivative=1)
+        A = mp.power(2, s) * mp.power(mp.pi, s - 1) * mp.gamma(1 - s) * z1
+        logfac = mp.log(2 * mp.pi) - mp.digamma(1 - s) - zd1 / z1
+        return A * (logfac * mp.sinpi(s / 2) + mp.pi / 2 * mp.cospi(s / 2))

@@ -3,19 +3,24 @@ import io
 import json
 import re
 
+import mpmath as mp
 import pytest
 
 import npcount.asymptotics as amod
 from npcount import (
     PrecisionContext,
     SlopeRange,
+    bundled_zeros,
     count_series,
+    full_estimate,
     logf_expansion_check,
+    refine_catalog,
     rho_recurrence_table,
     symmetric_count,
 )
 from npcount.asymptotics import TruncationError
 from npcount.cli import (
+    EXIT_IO,
     EXIT_NUMERIC,
     EXIT_OK,
     EXIT_USAGE,
@@ -24,6 +29,8 @@ from npcount.cli import (
     MAX_RHO_HEIGHT,
     main,
 )
+
+import golden
 
 
 def run(capsys, *argv):
@@ -58,6 +65,15 @@ class TestLogfCheck:
         rows = list(csv.DictReader(io.StringIO(text_csv)))
         assert rows == json.loads(text_json)
         assert list(rows[0]) == ["tau", "direct", "expansion", "residual"]
+
+    def test_low_bits_residuals_keep_their_digits(self, capsys):
+        # the residual cancels the leading digits of (C/2) tau^-2, so C and K
+        # must not be rounded to --bits first; these are the 192-bit values
+        code, out, _ = run(capsys, "logf-check", "--tau", "0.01", "--tau", "0.001",
+                           "--k-zeros", "0", "--bits", "64")
+        assert code == EXIT_OK
+        assert [r["residual"] for r in csv_rows(out)] == \
+            ["8.06428184978536e-6", "1.12626152611503e-7"]
 
     def test_small_tau_exits_numeric_at_once(self, capsys, monkeypatch):
         monkeypatch.setattr(amod, "_DIRECT_SUM_MAX_TERMS", 1000)
@@ -142,3 +158,59 @@ class TestBounds:
         code, out, _ = run(capsys, "count", "--max", "3", "--bits", str(MAX_BITS))
         assert code == EXIT_OK
         assert out == "n,count\n0,1\n1,1\n2,2\n3,4\n"
+
+
+class TestKernelCommands:
+    def test_zeros_refine(self, capsys):
+        first = run(capsys, "zeros", "refine", "--bits", "64")
+        assert first[0] == EXIT_OK
+        assert run(capsys, "zeros", "refine", "--bits", "64") == first
+        rows = csv_rows(first[1])
+        assert len(rows) == len(bundled_zeros())
+        for row, want in zip(rows, golden.ZERO_T_8DP):
+            assert abs(float(row["t"]) - float(want)) < 1e-8
+
+    def test_compare_rows_equal_library_estimates(self, capsys):
+        argv = ("compare", "-n", "10", "-n", "100", "--k-zeros", "3")
+        first = run(capsys, *argv)
+        assert first[0] == EXIT_OK
+        assert run(capsys, *argv) == first
+        ctx = PrecisionContext(192)
+        zeros = refine_catalog(bundled_zeros()[:3], ctx)
+        series = count_series(SlopeRange.HALF_OPEN_01, 100)
+        want = []
+        with ctx.working():
+            ln10 = mp.log(10)
+            for n in (10, 100):
+                est = full_estimate(n, zeros, 3, ctx)
+                log_exact = mp.log(series[n])
+                want.append({
+                    "n": str(n),
+                    "log10_count": mp.nstr(log_exact / ln10, 15),
+                    "log10_leading": mp.nstr(est.log_main / ln10, 15),
+                    "log10_estimate": mp.nstr(est.log_estimate / ln10, 15),
+                    "residual_log": mp.nstr(log_exact - est.log_main, 15),
+                })
+        assert csv_rows(first[1]) == want
+
+    def test_out_writes_the_stdout_bytes(self, capsys, tmp_path):
+        argv = ("wave", "--xmin", "1", "--xmax", "1e6", "--samples", "5")
+        code, out, _ = run(capsys, *argv)
+        assert code == EXIT_OK
+        path = tmp_path / "wave.csv"
+        code, quiet, _ = run(capsys, *argv, "--out", str(path))
+        assert code == EXIT_OK
+        assert quiet == ""
+        assert path.read_bytes() == out.encode("utf-8")
+
+    @pytest.mark.parametrize("text", ["abc\n", "14.13\n-2\n", "21.02\n14.13\n"])
+    @pytest.mark.parametrize("command", [("zeros", "refine"),
+                                         ("compare", "-n", "10", "--k-zeros", "1")])
+    def test_malformed_zero_file_is_io_error(self, capsys, tmp_path, text, command):
+        path = tmp_path / "zeros.txt"
+        path.write_text(text)
+        code, out, err = run(capsys, *command, "--zero-file", str(path))
+        assert code == EXIT_IO
+        assert out == ""
+        assert "npcount: I/O error" in err
+        assert "Traceback" not in err

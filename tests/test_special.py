@@ -17,6 +17,7 @@ from npcount import (
 )
 
 import golden
+import oracles
 
 BITS = 192
 CTX = PrecisionContext(BITS)
@@ -159,6 +160,19 @@ class TestZetaDerivative:
                 fd = (complex_zeta(s + h, CTX) - complex_zeta(s - h, CTX)) / (2 * h)
                 d = zeta_derivative(s, CTX)
                 assert abs(fd - d) / abs(d) <= tol
+
+    @pytest.mark.parametrize("bits", [64, 192])
+    def test_left_half_plane_against_reflection_oracle(self, bits):
+        ctx = PrecisionContext(bits)
+        rng = random.Random(20240904 + bits)
+        tol = mp.mpf(2) ** (16 - bits)
+        for _ in range(30):
+            s = mp.mpc(rng.uniform(-5, -0.5),
+                       rng.choice([-1, 1]) * rng.uniform(0.5, 40))
+            want = oracles.zeta_derivative_reflection(s, bits)
+            got = zeta_derivative(s, ctx)
+            with mp.workprec(bits + 64):
+                assert abs(got - want) / abs(want) <= tol
 
     def test_pair_matches_separate_calls(self):
         s = CTX.complex("0.5", "21.0220396")
