@@ -121,12 +121,20 @@ def _refined_t(t_seed: HPReal, bits: int) -> HPReal:
 
 @functools.lru_cache(maxsize=4096)
 def _coefficient(t: HPReal, bits: int) -> HPComplex:
+    """c_γ with ζ(γ-1) taken from ζ(γ+1) by the functional equation.
+
+    ζ(s) = 2^s π^(s-1) sin(πs/2) Γ(1-s) ζ(1-s) at s = γ - 1, and on the
+    critical line 2 - γ = conj(γ+1), so Γ(2-γ) = conj(γ Γ(γ)) and
+    ζ(2-γ) = conj(ζ(γ+1)).
+    """
     ctx = PrecisionContext(bits)
     with ctx.working():
         gamma = mp.mpc(mp.mpf(1) / 2, t)
-        c = (complex_gamma(gamma, ctx) * complex_zeta(gamma + 1, ctx)
-             * complex_zeta(gamma - 1, ctx) / zeta_derivative(gamma, ctx))
-        return ctx.round(c)
+        gamma_fn = complex_gamma(gamma, ctx)
+        zeta_p1 = complex_zeta(gamma + 1, ctx)
+        zeta_m1 = (mp.power(2, gamma - 1) * mp.power(mp.pi, gamma - 2) * mp.sinpi((gamma - 1) / 2)
+                   * mp.conj(gamma * gamma_fn) * mp.conj(zeta_p1))
+        return ctx.round(gamma_fn * zeta_p1 * zeta_m1 / zeta_derivative(gamma, ctx))
 
 
 def residue_coefficient(zero: ZetaZero, ctx: PrecisionContext = PrecisionContext()) -> ResidueCoefficient:

@@ -52,8 +52,8 @@ MAX_COUNT_HEIGHT = 100_000
 MAX_RHO_HEIGHT = 320
 
 #: Largest ``--bits``: at 1024 bits ``zeros refine`` (100 zeros) takes
-#: about 80 s and ``compare -n 5`` (25 zeros) about 25 s; from 192 to 1024
-#: bits, kernel cost grows about as bits^1.4.
+#: 32-37 s and ``compare -n 5`` (25 zeros) 10-14 s; from 192 to 1024 bits,
+#: their cost grows about as bits^1.0 and bits^1.3.
 MAX_BITS = 1024
 
 
@@ -66,6 +66,14 @@ def _catalog(args):
     if getattr(args, "zero_file", None):
         return load_zeros(args.zero_file)
     return bundled_zeros()
+
+
+def _first_zeros(args):
+    """The first --k-zeros catalog entries, unrefined; a k outside the catalog is a usage error."""
+    zeros = _catalog(args)
+    if not 0 <= args.k_zeros <= len(zeros):
+        raise UsageError(f"--k-zeros must be in [0, {len(zeros)}], got {args.k_zeros}")
+    return zeros[:args.k_zeros]
 
 
 # ---------------------------------------------------------------------------
@@ -103,8 +111,9 @@ def _rows_compare(args, ctx):
     ns = sorted(set(args.n))
     if not ns or ns[0] < 1 or ns[-1] > MAX_COUNT_HEIGHT:
         raise UsageError(f"every -n must be in [1, {MAX_COUNT_HEIGHT}]")
+    seeds = _first_zeros(args)
     series = count_series(SlopeRange.HALF_OPEN_01, ns[-1])
-    zeros = refine_catalog(_catalog(args)[:args.k_zeros], ctx)
+    zeros = refine_catalog(seeds, ctx)
     rows = []
     with ctx.working():
         ln10 = mp.log(10)
@@ -153,7 +162,7 @@ def _rows_zeros(args, ctx):
 
 
 def _rows_logf(args, ctx):
-    zeros = refine_catalog(_catalog(args)[:args.k_zeros], ctx)
+    zeros = refine_catalog(_first_zeros(args), ctx)
     rows = []
     for tau_text in args.tau:
         tau = ctx.real(tau_text)

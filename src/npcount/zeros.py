@@ -5,6 +5,12 @@ at -t is implicit; downstream oscillation sums double real parts). A
 bundled table ships the first 100 zeros to 20 decimal places as Newton
 seeds, and :func:`refine_zero` polishes any seed to working precision, so
 results never depend on the seed table's accuracy.
+
+Refinement is Newton's method on a precision ladder (Brent & Zimmermann,
+*Modern Computer Arithmetic*, 2010, §4.2): each step roughly doubles the
+bits of t that are right, so each step evaluates ζ and ζ′ at only about
+twice the bits the iterate already has, and only the last one at the
+full working precision.
 """
 from __future__ import annotations
 
@@ -15,13 +21,17 @@ from typing import Iterable, Sequence
 
 import mpmath as mp
 
-from .precision import HPReal, PrecisionContext
-from .special import zeta_with_derivative
+from .precision import GUARD_BITS, MIN_BITS, HPReal, PrecisionContext
+from .special import complex_zeta, zeta_with_derivative
 
 #: After refinement, |ζ(1/2 + i t)| <= 2**(RESIDUAL_MARGIN - bits).
 RESIDUAL_MARGIN = 24
 
 MAX_NEWTON_ITERATIONS = 60
+
+#: Bits a Newton step falls short of doubling (the first zeros lose 6-8)
+#: and the first rung's height above half the working precision.
+LADDER_MARGIN = 8
 
 
 class ZeroFileError(ValueError):
@@ -74,26 +84,51 @@ def _parse_zero_table(text: str, origin: str) -> list[ZetaZero]:
 
 
 def _refine_history(t0, ctx: PrecisionContext) -> tuple[HPReal, list[HPReal]]:
-    """Newton-iterate t -> t - Re[ζ / (i ζ′)] at s = 1/2 + i t; returns (t, residuals)."""
+    """Newton-iterate t -> t - Re[ζ / (i ζ′)] at s = 1/2 + i t; returns (t, residuals).
+
+    residuals holds |ζ| at each iterate, the last one from the check at
+    working precision. See :func:`refine_zero` for the precision of each step.
+    """
+    full = ctx.bits + GUARD_BITS
+    floor = MIN_BITS + GUARD_BITS
     with ctx.working():
         t = mp.mpf(t0)
         target = mp.mpf(2) ** (RESIDUAL_MARGIN - ctx.bits)
         half = mp.mpf(1) / 2
         residuals: list[HPReal] = []
+        prec = max(floor, full // 2 + LADDER_MARGIN)
         for _ in range(MAX_NEWTON_ITERATIONS):
-            z, zd = zeta_with_derivative(mp.mpc(half, t), ctx)
-            r = abs(z)
-            residuals.append(r)
-            if r <= target:
-                return ctx.round(t), residuals
-            t = t - mp.re(z / (mp.mpc(0, 1) * zd))
+            z, zd = zeta_with_derivative(mp.mpc(half, t), PrecisionContext(prec - GUARD_BITS))
+            residuals.append(abs(z))
+            step = mp.re(z / (mp.mpc(0, 1) * zd))
+            t -= step
+            good = mp.mag(t) - mp.mag(step) if step else prec  # bits t had before the step
+            if prec == full and 2 * good >= full:
+                r = abs(complex_zeta(mp.mpc(half, t), ctx))
+                residuals.append(r)
+                if r <= target:
+                    return ctx.round(t), residuals
+            prec = min(full, max(floor, 2 * (min(2 * good, prec) - LADDER_MARGIN)))
         raise NonConvergenceError(
             f"zero refinement from t0={mp.nstr(mp.mpf(t0), 12)} did not reach "
             f"|zeta| <= 2^{RESIDUAL_MARGIN - ctx.bits} in {MAX_NEWTON_ITERATIONS} iterations")
 
 
 def refine_zero(t0, ctx: PrecisionContext = PrecisionContext()) -> HPReal:
-    """Refine a seed t0 (accurate to ~1e-3) to |ζ(1/2 + i t)| <= 2**(24 - bits)."""
+    """Refine a seed t0 (accurate to ~1e-3) to |ζ(1/2 + i t)| <= 2**(24 - bits).
+
+    Each step evaluates ζ and ζ′ at its own precision w, and t is carried
+    at the working precision W = bits + guard. The first step runs at
+    w = W/2 + 8. A step whose correction is δ started from a t good to
+    g = log2(t/|δ|) bits and leaves it good to min(2g - 8, w - 3) bits (as
+    measured at the bundled zeros, which lose 6 to 8 bits to the Newton
+    constant), so the next step runs at w = 2 (min(2g, w) - 8), capped at W.
+    A step at W from g >= W/2 is the last: it leaves an error of about
+    K δ² <= K t² 2^-W, K = |ζ″/2ζ′|, so t is good to W - log2(K t)
+    >= bits + 24 bits at the bundled zeros before it is rounded to bits.
+    One ζ at W then checks |ζ(1/2 + i t)| <= 2**(24 - bits); a t that
+    fails the check takes further steps at W.
+    """
     return _refine_history(t0, ctx)[0]
 
 

@@ -1,3 +1,4 @@
+import functools
 import sys
 from pathlib import Path
 
@@ -21,6 +22,15 @@ def catalog():
 @pytest.fixture(scope="session")
 def zeros25(catalog, ctx):
     return refine_catalog(catalog[:25], ctx)
+
+
+@pytest.fixture(scope="session")
+def first25():
+    """bits -> the first 25 bundled zeros refined at that precision, each computed once."""
+    @functools.lru_cache(maxsize=None)
+    def refined(bits):
+        return refine_catalog(bundled_zeros()[:25], PrecisionContext(bits))
+    return refined
 
 
 @pytest.fixture(scope="session")

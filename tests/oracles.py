@@ -168,3 +168,15 @@ def zeta_derivative_reflection(s, bits):
         A = mp.power(2, s) * mp.power(mp.pi, s - 1) * mp.gamma(1 - s) * z1
         logfac = mp.log(2 * mp.pi) - mp.digamma(1 - s) - zd1 / z1
         return A * (logfac * mp.sinpi(s / 2) + mp.pi / 2 * mp.cospi(s / 2))
+
+
+def residue_coefficient_reference(t, bits):
+    """c_γ = Γ(γ) ζ(γ+1) ζ(γ-1) / ζ′(γ) at γ = 1/2 + i t by four mpmath calls, at bits + 64.
+
+    The product the library computed before it took ζ(γ-1) from ζ(γ+1) by
+    the functional equation.
+    """
+    with mp.workprec(bits + 64):
+        gamma = mp.mpc(mp.mpf(1) / 2, t)
+        return (mp.gamma(gamma) * mp.zeta(gamma + 1) * mp.zeta(gamma - 1)
+                / mp.zeta(gamma, derivative=1))

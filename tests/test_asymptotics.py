@@ -67,6 +67,15 @@ class TestResidueCoefficients:
         mods = [abs(residue_coefficient(z, ctx).c) for z in zs]
         assert all(a > b for a, b in zip(mods, mods[1:]))
 
+    @pytest.mark.parametrize("bits", [64, 192, 512])
+    def test_against_four_call_reference(self, first25, bits):
+        ctx = PrecisionContext(bits)
+        for z in first25(bits):
+            c = residue_coefficient(z, ctx).c
+            want = oracles.residue_coefficient_reference(z.t, bits)
+            with mp.workprec(bits + 64):
+                assert abs(c - want) <= mp.mpf(2) ** (8 - bits) * abs(want)
+
 
 class TestOscillation:
     def test_empty_sum_is_zero(self, ctx, zeros25):

@@ -160,6 +160,37 @@ class TestBounds:
         assert out == "n,count\n0,1\n1,1\n2,2\n3,4\n"
 
 
+class TestZeroCount:
+    @staticmethod
+    def forbid_work(monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("work started before --k-zeros was checked")
+        for name in ("count_series", "refine_catalog", "full_estimate", "logf_expansion_check"):
+            monkeypatch.setattr(f"npcount.cli.{name}", forbidden)
+
+    @pytest.mark.parametrize("command", [("compare", "-n", "10"),
+                                         ("logf-check", "--tau", "0.5")])
+    @pytest.mark.parametrize("k", ["-1", str(len(bundled_zeros()) + 1)])
+    def test_outside_catalog_is_usage_error(self, capsys, monkeypatch, command, k):
+        self.forbid_work(monkeypatch)
+        code, out, err = run(capsys, *command, "--k-zeros", k)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert f"--k-zeros must be in [0, {len(bundled_zeros())}]" in err
+        assert "Traceback" not in err
+
+    def test_zero_file_size_is_the_bound(self, capsys, monkeypatch, tmp_path):
+        path = tmp_path / "zeros.txt"
+        path.write_text("14.1347\n21.0220\n25.0109\n")
+        code, out, _ = run(capsys, "compare", "-n", "10", "--k-zeros", "3", "--zero-file", str(path))
+        assert code == EXIT_OK
+        assert len(csv_rows(out)) == 1
+        self.forbid_work(monkeypatch)
+        code, out, err = run(capsys, "compare", "-n", "10", "--k-zeros", "4", "--zero-file", str(path))
+        assert code == EXIT_USAGE
+        assert "--k-zeros must be in [0, 3], got 4" in err
+
+
 class TestKernelCommands:
     def test_zeros_refine(self, capsys):
         first = run(capsys, "zeros", "refine", "--bits", "64")

@@ -1,6 +1,8 @@
 import mpmath as mp
 import pytest
 
+import npcount.zeros as zmod
+
 from npcount import (
     NonConvergenceError,
     PrecisionContext,
@@ -113,3 +115,34 @@ class TestRefinement:
         validate_catalog(zs)
         refined_again = refine_catalog(zs, ctx)
         assert refined_again == zs
+
+
+class TestLadder:
+    @pytest.mark.parametrize("bits", [64, 192, 512])
+    @pytest.mark.parametrize("j", [1, 2, 25])
+    def test_within_one_ulp_of_zetazero(self, first25, bits, j):
+        t = first25(bits)[j - 1].t
+        with mp.workprec(bits + 64):
+            want = mp.zetazero(j).imag
+            assert abs(t - want) <= mp.ldexp(1, mp.mag(want) - bits)
+
+    @pytest.mark.parametrize("bits", [192, 1024])
+    def test_one_full_precision_step_per_zero(self, monkeypatch, bits):
+        calls = []
+
+        def counted(name, fn):
+            def wrapped(s, ctx):
+                calls.append((name, ctx.bits))
+                return fn(s, ctx)
+            return wrapped
+
+        monkeypatch.setattr(zmod, "zeta_with_derivative",
+                            counted("pair", zmod.zeta_with_derivative))
+        monkeypatch.setattr(zmod, "complex_zeta", counted("zeta", zmod.complex_zeta))
+        ctx = PrecisionContext(bits)
+        for z in bundled_zeros()[:25]:
+            calls.clear()
+            refine_zero(z.t, ctx)
+            assert calls.count(("pair", bits)) <= 1
+            assert calls.count(("zeta", bits)) == 1
+            assert calls[-1] == ("zeta", bits)
