@@ -34,16 +34,8 @@ from .counting import (
     symmetric_count,
     totient_sieve,
 )
-from .polygons import (
-    InvalidSegmentError,
-    NewtonPolygon,
-    Segment,
-    admissible_segments,
-    count_segment_multisets,
-    polygon_from_segments,
-)
 from .precision import DEFAULT_BITS, HPComplex, HPReal, PrecisionContext
-from .rho import RhoTable, rho_bruteforce, rho_recurrence_table
+from .rho import RhoTable, rho_recurrence_table
 from .special import (
     PoleError,
     bernoulli_even,

@@ -284,12 +284,6 @@ def wave_envelope(x, ctx: PrecisionContext = PrecisionContext()) -> HPReal:
         return ctx.round(val)
 
 
-def first_zero_log_period() -> float:
-    """Spacing 6π/t1 of adjacent wave maxima in log x (double precision)."""
-    seed = bundled_zeros()[0].t
-    return float(6 * mp.pi / seed)
-
-
 # ---------------------------------------------------------------------------
 # expansion check for log f(e^(-τ))
 # ---------------------------------------------------------------------------

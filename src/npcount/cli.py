@@ -10,6 +10,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 
 import mpmath as mp
@@ -85,12 +86,8 @@ def _rows_count(args):
     if not 0 <= args.max <= MAX_COUNT_HEIGHT:
         raise UsageError(f"--max must be in [0, {MAX_COUNT_HEIGHT}], got {args.max}")
     if args.range == "symmetric":
-        if args.max == 0:
-            values = [1]
-        else:
-            values = symmetric_count(args.max)
         return ["n", "count"], [
-            {"n": g, "count": str(v)} for g, v in enumerate(values)
+            {"n": g, "count": str(v)} for g, v in enumerate(symmetric_count(args.max))
         ]
     series = count_series(_RANGE_BY_NAME[args.range], args.max)
     return ["n", "count"], [
@@ -134,8 +131,9 @@ def _rows_compare(args, ctx):
 def _rows_wave(args, ctx):
     if args.samples < 1:
         raise UsageError("--samples must be >= 1")
-    if not (args.xmin > 0 and args.xmax >= args.xmin):
-        raise UsageError("need 0 < xmin <= xmax")
+    if not (math.isfinite(args.xmax) and 0 < args.xmin <= args.xmax):
+        raise UsageError(f"need finite --xmin and --xmax with 0 < --xmin <= --xmax, "
+                         f"got {args.xmin} and {args.xmax}")
     rows = []
     with ctx.working():
         lo = mp.mpf(args.xmin)
@@ -162,12 +160,13 @@ def _rows_zeros(args, ctx):
 
 
 def _rows_logf(args, ctx):
-    zeros = refine_catalog(_first_zeros(args), ctx)
-    rows = []
-    for tau_text in args.tau:
-        tau = ctx.real(tau_text)
+    taus = [ctx.real(tau_text) for tau_text in args.tau]
+    for tau, tau_text in zip(taus, args.tau):
         if not 0 < tau <= 1:
             raise UsageError(f"--tau must be in (0, 1], got {tau_text}")
+    zeros = refine_catalog(_first_zeros(args), ctx)
+    rows = []
+    for tau in taus:
         chk = logf_expansion_check(tau, zeros, args.k_zeros, ctx)
         rows.append({
             "tau": _hp(chk.tau, args.digits),

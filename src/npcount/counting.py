@@ -213,8 +213,8 @@ def symmetric_count(gmax: int) -> list[int]:
     the [0,1/2] series at g) or does so around a central (2,1) segment
     (counted at g-1); index 0 is the empty polygon.
     """
-    if gmax < 1:
-        raise ValueError("gmax must be >= 1")
+    if gmax < 0:
+        raise ValueError("gmax must be >= 0")
     half = count_series(SlopeRange.CLOSED_0_HALF, gmax)
     out = [1]
     for g in range(1, gmax + 1):

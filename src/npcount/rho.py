@@ -5,23 +5,20 @@ gcd(m, n) = 1, of total run h and total rise d, so
 
     Σ_{h,d} ρ(h,d) x^h y^d = Π_{(m,n)} (1 - x^m y^n)^(-1).
 
-Two routes:
+:func:`rho_recurrence_table` takes the log derivative in x of this
+product (a bivariate Euler transform):
 
-* :func:`rho_recurrence_table` takes the log derivative in x of this
-  product (a bivariate Euler transform):
+    h R_h(y) = Σ_{k=1..h} B_k(y) R_{h-k}(y),
+    B_k(y) = Σ_{m|k} m Σ_{0<=n<m, gcd(m,n)=1} y^(n k/m),
 
-      h R_h(y) = Σ_{k=1..h} B_k(y) R_{h-k}(y),
-      B_k(y) = Σ_{m|k} m Σ_{0<=n<m, gcd(m,n)=1} y^(n k/m),
+with R_h(y) = Σ_d ρ(h,d) y^d. Each polynomial in y is packed into one
+integer, one fixed-width byte slot per power of y, so a product of
+polynomials is one integer product.
 
-  with R_h(y) = Σ_d ρ(h,d) y^d. Each polynomial in y is packed into one
-  integer, one fixed-width byte slot per power of y, so a product of
-  polynomials is one integer product.
-* :func:`rho_bruteforce` counts segment multisets directly (oracle scale,
-  h <= 40).
-
-The paper's bilinear recurrence ρ(h,d) = Σ ρ(α,β) ρ(γ,γ-δ) over
-α+δ = h-d, β+γ = d (split at slope 1/2 and shear both halves) is kept in
-the tests as a third, independent check.
+This is the library's only route. The tests check it against two
+independent oracles: direct segment-multiset counting (h <= 40), and the
+paper's bilinear recurrence ρ(h,d) = Σ ρ(α,β) ρ(γ,γ-δ) over α+δ = h-d,
+β+γ = d (split at slope 1/2 and shear both halves).
 
 Base cases: ρ(h,0) = 1 (the all-flat polygon) and ρ(h,d) = 0 for
 d >= max(1, h); everything outside the triangle reads as zero.
@@ -33,15 +30,6 @@ from math import gcd
 from operator import mul
 
 from .counting import SlopeRange, count_series
-from .polygons import admissible_segments, count_segment_multisets
-
-BRUTEFORCE_MAX_HEIGHT = 40
-
-_SLOPE_PREDICATES = {
-    SlopeRange.HALF_OPEN_01: lambda n, m: n < m,
-    SlopeRange.CLOSED_01: lambda n, m: n <= m,
-    SlopeRange.CLOSED_0_HALF: lambda n, m: 2 * n <= m,
-}
 
 
 @dataclass(frozen=True)
@@ -114,14 +102,3 @@ def rho_recurrence_table(max_height: int) -> RhoTable:
         rows.append(tuple(row) + (0,))
     return RhoTable(max_height, tuple(rows))
 
-
-def rho_bruteforce(h: int, d: int, slope_range: SlopeRange = SlopeRange.HALF_OPEN_01) -> int:
-    """ρ(h, d) by direct multiset counting. Oracle scale: h <= 40."""
-    if h < 0 or d < 0:
-        return 0
-    if h > BRUTEFORCE_MAX_HEIGHT:
-        raise ValueError(f"brute force is capped at h <= {BRUTEFORCE_MAX_HEIGHT}")
-    if h == 0:
-        return 1 if d == 0 else 0
-    segments = admissible_segments(h, _SLOPE_PREDICATES[slope_range])
-    return count_segment_multisets(segments, h, d)

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import mpmath as mp
 
@@ -142,9 +142,3 @@ def refine_catalog(zeros: Iterable[ZetaZero], ctx: PrecisionContext = PrecisionC
             out.append(replace(z, t=refine_zero(z.t, ctx), refined=True))
     return out
 
-
-def validate_catalog(zeros: Sequence[ZetaZero]) -> None:
-    """Check the strictly-increasing invariant; raises ValueError on violation."""
-    for a, b in zip(zeros, zeros[1:]):
-        if not b.t > a.t:
-            raise ValueError(f"zero catalog not strictly increasing at t={b.t}")

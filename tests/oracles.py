@@ -1,9 +1,14 @@
 """Slow, independent reference implementations used only by tests."""
 from collections import Counter
+from dataclasses import dataclass
+from fractions import Fraction
 from math import gcd
 from operator import mul
+from typing import Iterable, Sequence
 
 import mpmath as mp
+
+from npcount import SlopeRange
 
 
 def product_series(exponents, limit):
@@ -180,3 +185,124 @@ def residue_coefficient_reference(t, bits):
         gamma = mp.mpc(mp.mpf(1) / 2, t)
         return (mp.gamma(gamma) * mp.zeta(gamma + 1) * mp.zeta(gamma - 1)
                 / mp.zeta(gamma, derivative=1))
+
+
+# ---------------------------------------------------------------------------
+# Segments, polygons and the segment-multiset brute force
+# ---------------------------------------------------------------------------
+#
+# A segment is a coprime pair (m, n): an edge of horizontal run m and
+# vertical rise n, i.e. slope n/m. A Newton polygon is a multiset of
+# segments; rendered, it is the lower-convex lattice path obtained by
+# sorting the segments by slope.
+
+
+class InvalidSegmentError(ValueError):
+    """Pair is not a valid segment (gcd != 1, or m < 1)."""
+
+
+@dataclass(frozen=True, order=True)
+class Segment:
+    """Coprime pair (m, n): horizontal run m >= 1, vertical rise n >= 0."""
+
+    m: int
+    n: int
+
+    def __post_init__(self) -> None:
+        if self.m < 1 or self.n < 0:
+            raise InvalidSegmentError(f"segment ({self.m}, {self.n}) needs m >= 1, n >= 0")
+        if gcd(self.m, self.n) != 1:
+            raise InvalidSegmentError(f"segment ({self.m}, {self.n}) is not coprime")
+
+    @property
+    def slope(self) -> Fraction:
+        return Fraction(self.n, self.m)
+
+
+@dataclass(frozen=True)
+class NewtonPolygon:
+    """A polygon as its slope-sorted breakpoint list, from (0, 0)."""
+
+    breakpoints: tuple[tuple[int, int], ...]
+
+    @property
+    def height(self) -> int:
+        return self.breakpoints[-1][0]
+
+    @property
+    def depth(self) -> int:
+        return self.breakpoints[-1][1]
+
+
+def polygon_from_segments(segments: Iterable[Segment | tuple[int, int]]) -> NewtonPolygon:
+    """Assemble a polygon from a multiset of segments.
+
+    Segments are sorted by slope ascending, so the breakpoint path is
+    lower convex by construction. Consecutive equal-slope segments are
+    kept as separate breakpoints.
+    """
+    segs = [s if isinstance(s, Segment) else Segment(*s) for s in segments]
+    segs.sort(key=lambda s: (s.slope, s.m))
+    points = [(0, 0)]
+    x = y = 0
+    for s in segs:
+        x += s.m
+        y += s.n
+        points.append((x, y))
+    return NewtonPolygon(tuple(points))
+
+
+def admissible_segments(max_run: int, slope_ok) -> list[Segment]:
+    """All segments with 1 <= m <= max_run whose slope passes slope_ok.
+
+    Enumerated by m ascending then n ascending (canonical oracle order).
+    slope_ok receives (n, m) as integers and must be a pure predicate.
+    """
+    out = []
+    for m in range(1, max_run + 1):
+        for n in range(0, m + 1):
+            if gcd(m, n) == 1 and slope_ok(n, m):
+                out.append(Segment(m, n))
+    return out
+
+
+def count_segment_multisets(segments: Sequence[Segment], height: int, depth: int) -> int:
+    """Number of multisets from `segments` with Σm = height, Σn = depth.
+
+    Unbounded-multiplicity knapsack over (segment, remaining height,
+    remaining depth); exact integers throughout.
+    """
+    if height < 0 or depth < 0:
+        return 0
+    ways = [[0] * (depth + 1) for _ in range(height + 1)]
+    ways[0][0] = 1
+    for seg in segments:
+        m, n = seg.m, seg.n
+        for h in range(m, height + 1):
+            row = ways[h]
+            prev = ways[h - m]
+            for d in range(n, depth + 1):
+                if prev[d - n]:
+                    row[d] += prev[d - n]
+    return ways[height][depth]
+
+
+BRUTEFORCE_MAX_HEIGHT = 40
+
+_SLOPE_PREDICATES = {
+    SlopeRange.HALF_OPEN_01: lambda n, m: n < m,
+    SlopeRange.CLOSED_01: lambda n, m: n <= m,
+    SlopeRange.CLOSED_0_HALF: lambda n, m: 2 * n <= m,
+}
+
+
+def rho_bruteforce(h: int, d: int, slope_range: SlopeRange = SlopeRange.HALF_OPEN_01) -> int:
+    """ρ(h, d) by direct multiset counting. Oracle scale: h <= 40."""
+    if h < 0 or d < 0:
+        return 0
+    if h > BRUTEFORCE_MAX_HEIGHT:
+        raise ValueError(f"brute force is capped at h <= {BRUTEFORCE_MAX_HEIGHT}")
+    if h == 0:
+        return 1 if d == 0 else 0
+    segments = admissible_segments(h, _SLOPE_PREDICATES[slope_range])
+    return count_segment_multisets(segments, h, d)

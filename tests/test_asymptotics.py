@@ -5,6 +5,7 @@ from npcount import (
     PrecisionContext,
     SlopeRange,
     Variant,
+    bundled_zeros,
     count_series,
     full_estimate,
     leading_estimate,
@@ -20,7 +21,7 @@ from npcount import (
     wave_sample,
 )
 import npcount.asymptotics as amod
-from npcount.asymptotics import TruncationError, first_zero_log_period
+from npcount.asymptotics import TruncationError
 from npcount.zeros import ZetaZero
 
 import golden
@@ -205,7 +206,7 @@ class TestWave:
         peaks = [lnxs[i] for i in range(1, samples - 1)
                  if logy[i] > logy[i - 1] and logy[i] > logy[i + 1]]
         assert len(peaks) >= 3
-        period = first_zero_log_period()
+        period = float(6 * mp.pi / bundled_zeros()[0].t)  # maxima spacing 6π/t1 in log x
         for a, b in zip(peaks, peaks[1:]):
             assert abs((b - a) - period) <= 0.02 * period
 

@@ -7,6 +7,7 @@ import mpmath as mp
 import pytest
 
 import npcount.asymptotics as amod
+import npcount.zeros as zmod
 from npcount import (
     PrecisionContext,
     SlopeRange,
@@ -17,6 +18,7 @@ from npcount import (
     refine_catalog,
     rho_recurrence_table,
     symmetric_count,
+    wave_sample,
 )
 from npcount.asymptotics import TruncationError
 from npcount.cli import (
@@ -81,6 +83,21 @@ class TestLogfCheck:
         assert code == EXIT_NUMERIC
         assert out == ""
         assert "smallest tau that fits at 192 bits" in err
+
+    @pytest.mark.parametrize("taus", [("2",), ("0.5", "2")])
+    def test_bad_tau_is_rejected_before_refinement(self, capsys, monkeypatch, taus):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("work started before --tau was checked")
+        monkeypatch.setattr("npcount.cli.refine_catalog", forbidden)
+        monkeypatch.setattr("npcount.cli.logf_expansion_check", forbidden)
+        argv = ["logf-check", "--k-zeros", "25"]
+        for tau in taus:
+            argv += ["--tau", tau]
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "--tau must be in (0, 1], got 2" in err
+        assert "Traceback" not in err
 
     def test_reported_tau_floor_is_tight(self, capsys, monkeypatch):
         ctx = PrecisionContext(192)
@@ -160,6 +177,41 @@ class TestBounds:
         assert out == "n,count\n0,1\n1,1\n2,2\n3,4\n"
 
 
+class TestWave:
+    @pytest.mark.parametrize("linear", [False, True])
+    def test_rows_equal_wave_sample(self, capsys, linear):
+        argv = ["wave", "--xmin", "1", "--xmax", "1e6", "--samples", "5"]
+        if linear:
+            argv.append("--linear-x")
+        first = run(capsys, *argv)
+        assert first[0] == EXIT_OK
+        assert run(capsys, *argv) == first
+        ctx = PrecisionContext(192)
+        want = []
+        with ctx.working():
+            lo, hi = mp.mpf(1), mp.mpf("1e6")
+            for i in range(5):
+                if linear:
+                    x = lo + (hi - lo) * i / 4
+                else:
+                    x = lo * (hi / lo) ** (mp.mpf(i) / 4)
+                want.append({"x": mp.nstr(x, 15), "y": mp.nstr(wave_sample(x, ctx), 15)})
+        assert csv_rows(first[1]) == want
+
+    @pytest.mark.parametrize("xmin,xmax,samples", [("inf", "inf", "1"),
+                                                   ("1", "inf", "2"),
+                                                   ("1", "1e400", "2")])
+    def test_non_finite_bounds_are_usage_errors(self, capsys, monkeypatch, xmin, xmax, samples):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("wave sampled before its bounds were checked")
+        monkeypatch.setattr("npcount.cli.wave_sample", forbidden)
+        code, out, err = run(capsys, "wave", "--xmin", xmin, "--xmax", xmax, "--samples", samples)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "need finite --xmin and --xmax" in err
+        assert "Traceback" not in err
+
+
 class TestZeroCount:
     @staticmethod
     def forbid_work(monkeypatch):
@@ -233,6 +285,17 @@ class TestKernelCommands:
         assert code == EXIT_OK
         assert quiet == ""
         assert path.read_bytes() == out.encode("utf-8")
+
+    def test_nonconvergence_is_numeric_failure(self, capsys, monkeypatch, tmp_path):
+        # an iteration budget of zero can never meet the residual target
+        monkeypatch.setattr(zmod, "MAX_NEWTON_ITERATIONS", 0)
+        path = tmp_path / "zeros.txt"
+        path.write_text("14.1347\n")
+        code, out, err = run(capsys, "zeros", "refine", "--bits", "64", "--zero-file", str(path))
+        assert code == EXIT_NUMERIC
+        assert out == ""
+        assert "npcount: numeric failure" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("text", ["abc\n", "14.13\n-2\n", "21.02\n14.13\n"])
     @pytest.mark.parametrize("command", [("zeros", "refine"),

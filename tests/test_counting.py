@@ -14,10 +14,10 @@ from npcount import (
     totient_sieve,
 )
 from npcount.counting import _BASE_BLOCK, _series_from_weights, series_from_exponents
-from npcount.rho import rho_bruteforce
 
 import golden
 import oracles
+from oracles import rho_bruteforce
 
 
 class TestTotient:
@@ -207,4 +207,7 @@ class TestSymmetric:
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
-            symmetric_count(0)
+            symmetric_count(-1)
+
+    def test_genus_zero_is_the_empty_polygon(self):
+        assert symmetric_count(0) == [1]

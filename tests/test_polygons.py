@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from npcount import (
+from oracles import (
     InvalidSegmentError,
     Segment,
     admissible_segments,

@@ -1,11 +1,12 @@
 import pytest
 
 import npcount.rho as rho_mod
-from npcount import SlopeRange, admissible_segments, count_segment_multisets, count_series
-from npcount.rho import RhoTable, rho_bruteforce, rho_recurrence_table
+from npcount import SlopeRange, count_series
+from npcount.rho import RhoTable, rho_recurrence_table
 
 import golden
 import oracles
+from oracles import admissible_segments, count_segment_multisets, rho_bruteforce
 
 
 @pytest.fixture(scope="module")

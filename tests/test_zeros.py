@@ -13,7 +13,7 @@ from npcount import (
     refine_zero,
     zeta_with_derivative,
 )
-from npcount.zeros import _refine_history, validate_catalog
+from npcount.zeros import _refine_history
 
 import golden
 
@@ -62,14 +62,9 @@ class TestLoading:
     def test_bundled_catalog(self):
         zs = bundled_zeros()
         assert len(zs) == 100
-        validate_catalog(zs)
+        assert all(a.t < b.t for a, b in zip(zs, zs[1:]))
         for z, want in zip(zs, golden.ZERO_T_8DP):
             assert abs(z.t - mp.mpf(want)) < mp.mpf("1e-8")
-
-    def test_validate_catalog_rejects_disorder(self):
-        zs = bundled_zeros()[:3]
-        with pytest.raises(ValueError):
-            validate_catalog([zs[1], zs[0], zs[2]])
 
 
 class TestRefinement:
@@ -112,7 +107,7 @@ class TestRefinement:
     def test_catalog_refinement_marks_and_preserves_order(self, ctx):
         zs = refine_catalog(bundled_zeros()[:5], ctx)
         assert all(z.refined for z in zs)
-        validate_catalog(zs)
+        assert all(a.t < b.t for a, b in zip(zs, zs[1:]))
         refined_again = refine_catalog(zs, ctx)
         assert refined_again == zs
 
