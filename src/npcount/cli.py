@@ -53,8 +53,8 @@ MAX_COUNT_HEIGHT = 100_000
 MAX_RHO_HEIGHT = 320
 
 #: Largest ``--bits``: at 1024 bits ``zeros refine`` (100 zeros) takes
-#: 32-37 s and ``compare -n 5`` (25 zeros) 10-14 s; from 192 to 1024 bits,
-#: their cost grows about as bits^1.0 and bits^1.3.
+#: about 19 s and ``compare -n 5`` (25 zeros) 8-10 s; from 192 to 1024 bits,
+#: the cost of either grows about as bits^1.7.
 MAX_BITS = 1024
 
 

@@ -1,13 +1,18 @@
+import math
 import random
 from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings, strategies as st
+from mpmath.libmp.gammazeta import borwein_cache
 
+from npcount import special
 from npcount import (
     PoleError,
     PrecisionContext,
     bernoulli_even,
+    bundled_zeros,
     complex_gamma,
     complex_zeta,
     constant_C,
@@ -195,3 +200,119 @@ class TestConstants:
         with CTX.working():
             want = mp.exp(-2 * mp.re(zeta_derivative(-1, CTX)) - mp.log(2 * mp.pi) / 6)
             assert rel(constant_K(CTX), want) < mp.mpf(2) ** (16 - BITS)
+
+
+class TestBorweinPass:
+    """ζ and ζ′ from one fixed-point Borwein pass for 1/2 <= ℜ s <= bits, |ℑ s| <= T."""
+
+    T = special.BORWEIN_MAX_HEIGHT
+
+    @staticmethod
+    def assert_matches_mpmath(s, bits, near_zero=False):
+        """Both values within 2**(8 - bits) of mp.zeta at bits + 64.
+
+        ζ's error is relative, except near a zero (near_zero), where it is
+        measured against |ζ′|, the size that the Newton step ζ/ζ′ sees.
+        """
+        z, zd = zeta_with_derivative(s, PrecisionContext(bits))
+        with mp.workprec(bits + 64):
+            want, want_d = mp.zeta(s), mp.zeta(s, derivative=1)
+            tol = mp.mpf(2) ** (8 - bits)
+            assert abs(zd - want_d) <= tol * abs(want_d)
+            scale = abs(want_d) if near_zero else abs(want)
+            assert abs(z - want) <= tol * scale
+
+    @pytest.mark.parametrize("bits", [64, 192, 512])
+    @pytest.mark.parametrize("j", [1, 2, 25, 100])
+    def test_at_bundled_zeros(self, bits, j):
+        t = bundled_zeros()[j - 1].t
+        self.assert_matches_mpmath(mp.mpc(0.5, t), bits, near_zero=True)
+
+    @pytest.mark.parametrize("bits", [64, 192])
+    def test_seeded_points_in_the_strip(self, bits):
+        rng = random.Random(20261018 + bits)
+        for _ in range(20):
+            t = math.exp(rng.uniform(math.log(0.5), math.log(self.T)))
+            self.assert_matches_mpmath(mp.mpc(rng.uniform(0.5, 3), rng.choice([-1, 1]) * t), bits)
+
+    @pytest.mark.parametrize("bits", [64, 192])
+    def test_domain_edges(self, bits, monkeypatch):
+        ctx = PrecisionContext(bits)
+        passes, run_pass = [], special._zeta_pair
+        monkeypatch.setattr(special, "_zeta_pair", lambda s: passes.append(s) or run_pass(s))
+        with ctx.working():
+            eps = mp.mpf(2) ** -(bits + 8)
+            # the last point is 2^-40 from a zero of q = 1 - 2^(1-s), which ζ = η/q divides by
+            inside = [mp.mpc(0.5, self.T), mp.mpc(0.5, -self.T), mp.mpc(bits, 3),
+                      mp.mpc(1 + mp.mpf(2) ** -40, 2 * mp.pi / mp.ln2)]
+            outside = [mp.mpc(0.5 - eps, 30), mp.mpc(2, self.T * (1 + eps)),
+                       mp.mpc(0.75, -self.T * (1 + eps)), mp.mpc(bits + 1, 3)]
+        for s in inside:
+            self.assert_matches_mpmath(s, bits)
+        assert len(passes) == len(inside)
+        for s in outside:
+            with ctx.working():
+                want = ctx.round(mp.zeta(s)), ctx.round(mp.zeta(s, derivative=1))
+            assert zeta_with_derivative(s, ctx) == want
+            assert zeta_derivative(s, ctx) == want[1]
+        assert len(passes) == len(inside)
+
+    def test_pass_leaves_no_weights_cached(self):
+        """Each height between 500 and 2000 takes its own term count; mpmath's
+        module-level ``borwein_cache`` would keep a weight list for each."""
+        ctx = PrecisionContext(64)
+        rng = random.Random(20261021)
+        before = len(borwein_cache)
+        for _ in range(40):
+            zeta_derivative(mp.mpc(0.5, rng.uniform(500, 2000)), ctx)
+        assert len(borwein_cache) == before
+
+    @pytest.mark.parametrize("bits", [64, 192])
+    def test_derivative_alone_is_the_pair_entry(self, bits):
+        ctx = PrecisionContext(bits)
+        rng = random.Random(20261019 + bits)
+        for _ in range(10):
+            s = mp.mpc(rng.uniform(0.5, 3), rng.uniform(-300, 300))
+            assert zeta_derivative(s, ctx) == zeta_with_derivative(s, ctx)[1]
+
+    @pytest.mark.parametrize("bits", [64, 192])
+    def test_schwarz_reflection_exact(self, bits):
+        ctx = PrecisionContext(bits)
+        rng = random.Random(20261020 + bits)
+        for _ in range(10):
+            s = mp.mpc(rng.uniform(0.5, 3), rng.uniform(0.5, 300))
+            below = zeta_with_derivative(mp.conj(s), ctx) + (zeta_derivative(mp.conj(s), ctx),)
+            above = zeta_with_derivative(s, ctx) + (zeta_derivative(s, ctx),)
+            for a, b in zip(below, above):
+                assert a.real == b.real and a.imag + b.imag == 0
+
+
+PROPERTY_CTX = PrecisionContext(64)
+property_settings = settings(max_examples=25, deadline=None, derandomize=True)
+sigmas = st.floats(-5, 5)
+heights = st.floats(0.05, 50)
+
+
+def _values(f, s):
+    v = f(s, PROPERTY_CTX)
+    return v if isinstance(v, tuple) else (v,)
+
+
+class TestProperties:
+    """Hypothesis checks at 64 bits, |ℑ s| <= 50."""
+
+    @pytest.mark.parametrize("f", [complex_gamma, complex_zeta, zeta_derivative, zeta_with_derivative])
+    @property_settings
+    @given(sigma=sigmas, t=heights)
+    def test_conjugate_symmetry_exact(self, f, sigma, t):
+        for a, b in zip(_values(f, mp.mpc(sigma, -t)), _values(f, mp.mpc(sigma, t))):
+            assert a.real == b.real and a.imag + b.imag == 0
+
+    @property_settings
+    @given(sigma=sigmas, t=heights, sign=st.sampled_from([-1, 1]))
+    def test_gamma_recurrence(self, sigma, t, sign):
+        with PROPERTY_CTX.working():
+            s = mp.mpc(sigma, sign * t)
+            lhs = complex_gamma(s + 1, PROPERTY_CTX)
+            rhs = s * complex_gamma(s, PROPERTY_CTX)
+            assert abs(lhs - rhs) <= mp.mpf(2) ** (8 - PROPERTY_CTX.bits) * abs(rhs)
