@@ -4,9 +4,10 @@ Exact side: arbitrary-size-integer counts of polygons by height for the
 slope ranges [0, 1), [0, 1] and [0, 1/2], the symmetric-polygon counts,
 and the triangular (height, depth) table. Asymptotic side: the saddle
 main term, residue coefficients of non-trivial zeta zeros and their
-oscillatory corrections, evaluated with high-precision Γ and ζ from
-mpmath and ζ′ in the critical strip from a fixed-point Borwein pass of
-its own, behind pole-checked, conjugate-symmetric, rounded wrappers.
+oscillatory corrections, evaluated with high-precision Γ from mpmath,
+ζ and ζ′ in the critical strip from one fixed-point Borwein pass of its
+own and from mpmath elsewhere, behind pole-checked, conjugate-symmetric,
+rounded wrappers.
 """
 from .asymptotics import (
     AsymptoticBreakdown,

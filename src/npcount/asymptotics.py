@@ -12,8 +12,10 @@ pair per non-trivial zeta zero γ = 1/2 + i t, with amplitude
 
 All estimates are carried in natural-log scale; linear values are derived
 views. Zero sums are truncated at a fixed count k (default 25) — the
-amplitudes |c_γ| fall off superexponentially in t, so the truncation tail
-is bounded by the triangle inequality Σ 2|c_γ| τ^(-1/2).
+amplitudes |c_γ| fall off exponentially in t, like e^(-πt/2) times a
+slowly growing factor (|c_γ| e^(πt/2) is 2.1 at t = 14.1, 5.9 at 49.8 and
+28 at 236.5), so the truncation tail is bounded by the triangle
+inequality Σ 2|c_γ| τ^(-1/2).
 """
 from __future__ import annotations
 

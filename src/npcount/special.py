@@ -1,20 +1,26 @@
 """High-precision Γ, ζ and ζ′ on the complex plane, plus the growth constants.
 
-Γ and ζ are mpmath's; ζ′ in the critical strip is a Borwein pass of its own:
+Γ is mpmath's; ζ and ζ′ in the critical strip come from a Borwein pass of
+its own:
 
 * :func:`complex_gamma` is ``mp.gamma``;
-* :func:`complex_zeta` is ``mp.zeta``;
-* :func:`zeta_derivative` and :func:`zeta_with_derivative` take ζ′ (and ζ)
-  for 1/2 <= ℜ s <= bits and |ℑ s| <= :data:`BORWEIN_MAX_HEIGHT` from one
-  fixed-point pass of Borwein's algorithm that sums η and η′ together
-  (:func:`_zeta_pair`); elsewhere they are ``mp.zeta(s, derivative=1)``
-  and the pair of ``mp.zeta`` calls;
+* :func:`complex_zeta`, :func:`zeta_derivative` and
+  :func:`zeta_with_derivative` take ζ and ζ′ for 1/2 <= ℜ s <= bits and
+  |ℑ s| <= :data:`BORWEIN_MAX_HEIGHT` from one fixed-point pass of
+  Borwein's algorithm that sums η and η′ together (:func:`_zeta_pair`);
+  elsewhere they are ``mp.zeta(s, derivative=k)``;
 * :func:`bernoulli_even` is ``mp.bernfrac``;
-* :func:`constant_C` and :func:`constant_K` are ``mp.zeta`` at 3, 2 and -1.
+* :func:`constant_C` and :func:`constant_K` are ``mp.zeta`` at 3, 2 and -1;
+  at the integers 3 and 2 mpmath divides by (k+1)^s in integers, over ten
+  times faster than the pass, and caches the value.
 
 mpmath takes ζ′ from Euler–Maclaurin sums on ``mpc`` objects, at 3 to 7
 times the cost of its fixed-point Borwein ζ at the same point; the pass
-gives both for about the cost of that ζ.
+gives both for about the cost of that ζ. The program calls the pass on the
+critical line (Newton's method and its residual check) and at ℜ s = 3/2
+(the residues), and with the bundled zeros never at |ℑ s| > 237: no
+command or benchmark workload reaches the edge ℜ s = bits or
+|ℑ s| = :data:`BORWEIN_MAX_HEIGHT`, which only the tests check.
 
 The wrappers add four things. They raise :class:`PoleError` within
 machine tolerance of a pole instead of returning garbage. They evaluate
@@ -67,18 +73,11 @@ def _near_nonpositive_integer(s: HPComplex, bits: int) -> bool:
     return abs(s - nearest) <= tol
 
 
-def _check_zeta_pole(s: HPComplex, bits: int) -> None:
-    tol = mp.mpf(2) ** (8 - bits)
-    if abs(s - 1) <= tol:
-        raise PoleError("zeta pole at s = 1")
-
-
-def _mirrored(f, s: HPComplex, ctx: PrecisionContext):
-    """f(s) rounded by ctx (each entry, if f gives a tuple); for ℑ(s) < 0, conj(f(conj s))."""
+def _mirrored(f, s: HPComplex, ctx: PrecisionContext) -> tuple:
+    """The tuple f(s), each entry rounded by ctx; for ℑ(s) < 0, conj(f(conj s))."""
     flip = mp.im(s) < 0
     v = f(mp.conj(s) if flip else s)
-    fix = lambda x: ctx.round(mp.conj(mp.mpc(x)) if flip else mp.mpc(x))
-    return tuple(map(fix, v)) if isinstance(v, tuple) else fix(v)
+    return tuple(ctx.round(mp.conj(mp.mpc(x)) if flip else mp.mpc(x)) for x in v)
 
 
 def _in_borwein_strip(s: HPComplex, bits: int) -> bool:
@@ -178,6 +177,18 @@ def _zeta_pair(s: HPComplex) -> tuple[HPComplex, HPComplex]:
         return z, (deta - z * p * mp.ln2) / q
 
 
+def _zeta(s, ctx: PrecisionContext, orders: tuple[int, ...]) -> tuple[HPComplex, ...]:
+    """(ζ^(k)(s) for k in orders), orders ⊆ (0, 1): one pass in the strip, else mp.zeta."""
+    with ctx.working():
+        s = mp.mpc(s)
+        if abs(s - 1) <= mp.mpf(2) ** (8 - ctx.bits):
+            raise PoleError("zeta pole at s = 1")
+        if _in_borwein_strip(s, ctx.bits):
+            pair = _mirrored(_zeta_pair, s, ctx)
+            return tuple(pair[k] for k in orders)
+        return _mirrored(lambda z: [mp.zeta(z, derivative=k) for k in orders], s, ctx)
+
+
 def complex_gamma(s, ctx: PrecisionContext = PrecisionContext()) -> HPComplex:
     """Γ(s) with relative error ≤ 2**(8 - bits).
 
@@ -187,40 +198,27 @@ def complex_gamma(s, ctx: PrecisionContext = PrecisionContext()) -> HPComplex:
         s = mp.mpc(s)
         if _near_nonpositive_integer(s, ctx.bits):
             raise PoleError(f"gamma pole at non-positive integer near {s}")
-        return _mirrored(mp.gamma, s, ctx)
+        return _mirrored(lambda z: (mp.gamma(z),), s, ctx)[0]
 
 
 def complex_zeta(s, ctx: PrecisionContext = PrecisionContext()) -> HPComplex:
     """ζ(s) anywhere on the plane except s = 1, relative error ≤ 2**(8 - bits)."""
-    with ctx.working():
-        s = mp.mpc(s)
-        _check_zeta_pole(s, ctx.bits)
-        return _mirrored(mp.zeta, s, ctx)
+    return _zeta(s, ctx, (0,))[0]
 
 
 def zeta_derivative(s, ctx: PrecisionContext = PrecisionContext()) -> HPComplex:
     """ζ′(s), same domain and error contract as :func:`complex_zeta`."""
-    with ctx.working():
-        s = mp.mpc(s)
-        _check_zeta_pole(s, ctx.bits)
-        if _in_borwein_strip(s, ctx.bits):
-            return _mirrored(lambda z: _zeta_pair(z)[1], s, ctx)
-        return _mirrored(lambda z: mp.zeta(z, derivative=1), s, ctx)
+    return _zeta(s, ctx, (1,))[0]
 
 
 def zeta_with_derivative(s, ctx: PrecisionContext = PrecisionContext()) -> tuple[HPComplex, HPComplex]:
     """(ζ(s), ζ′(s)) at one point, with the contract of :func:`complex_zeta`.
 
-    In the Borwein strip both come from one pass, and ζ′ is bit-identical to
-    :func:`zeta_derivative`; elsewhere the pair is bit-identical to
-    :func:`complex_zeta` and :func:`zeta_derivative`.
+    Both come from the route that :func:`complex_zeta` and
+    :func:`zeta_derivative` take at s (one Borwein pass in the strip), and
+    are bit-identical to them.
     """
-    with ctx.working():
-        s = mp.mpc(s)
-        _check_zeta_pole(s, ctx.bits)
-        if _in_borwein_strip(s, ctx.bits):
-            return _mirrored(_zeta_pair, s, ctx)
-        return _mirrored(lambda z: (mp.zeta(z), mp.zeta(z, derivative=1)), s, ctx)
+    return _zeta(s, ctx, (0, 1))
 
 
 @functools.lru_cache(maxsize=None)

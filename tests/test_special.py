@@ -254,17 +254,41 @@ class TestBorweinPass:
             with ctx.working():
                 want = ctx.round(mp.zeta(s)), ctx.round(mp.zeta(s, derivative=1))
             assert zeta_with_derivative(s, ctx) == want
+            assert complex_zeta(s, ctx) == want[0]
             assert zeta_derivative(s, ctx) == want[1]
         assert len(passes) == len(inside)
 
+    @pytest.mark.parametrize("bits", [64, 192])
+    @pytest.mark.parametrize("gap", [60, 80])
+    def test_zeta_near_a_zero_of_q(self, bits, gap):
+        """ζ = η/q loses 2 log2(1/|q|) bits near s = 1 + 2πi/ln 2, where q = 1 - 2^(1-s) = 0."""
+        ctx = PrecisionContext(bits)
+        with ctx.working():
+            s = mp.mpc(1 + mp.mpf(2) ** -gap, 2 * mp.pi / mp.ln2)
+        got = complex_zeta(s, ctx)
+        with mp.workprec(bits + 300):
+            want = mp.zeta(s)
+            assert abs(got - want) <= mp.mpf(2) ** (8 - bits) * abs(want)
+
     def test_pass_leaves_no_weights_cached(self):
-        """Each height between 500 and 2000 takes its own term count; mpmath's
-        module-level ``borwein_cache`` would keep a weight list for each."""
-        ctx = PrecisionContext(64)
+        """Each height takes its own term count; mpmath's module-level
+        ``borwein_cache`` would keep a weight list for each.
+
+        ζ′ at 500 <= t <= 2000 (64 bits), and the residue's Γ(γ), ζ(γ) and
+        ζ(γ + 1) at 20 <= t <= 220 (192 bits), where mpmath's own ζ would
+        take Borwein's route too. Γ adds lists of its own, the same for every
+        t in [20, 220] (23 at 192 bits); one call fills them before counting.
+        """
         rng = random.Random(20261021)
+        wide = PrecisionContext(192)
+        complex_gamma(mp.mpc(0.5, 20), wide)
         before = len(borwein_cache)
         for _ in range(40):
-            zeta_derivative(mp.mpc(0.5, rng.uniform(500, 2000)), ctx)
+            zeta_derivative(mp.mpc(0.5, rng.uniform(500, 2000)), PrecisionContext(64))
+            t = rng.uniform(20, 220)
+            complex_gamma(mp.mpc(0.5, t), wide)
+            complex_zeta(mp.mpc(0.5, t), wide)
+            complex_zeta(mp.mpc(1.5, t), wide)
         assert len(borwein_cache) == before
 
     @pytest.mark.parametrize("bits", [64, 192])
@@ -273,7 +297,7 @@ class TestBorweinPass:
         rng = random.Random(20261019 + bits)
         for _ in range(10):
             s = mp.mpc(rng.uniform(0.5, 3), rng.uniform(-300, 300))
-            assert zeta_derivative(s, ctx) == zeta_with_derivative(s, ctx)[1]
+            assert (complex_zeta(s, ctx), zeta_derivative(s, ctx)) == zeta_with_derivative(s, ctx)
 
     @pytest.mark.parametrize("bits", [64, 192])
     def test_schwarz_reflection_exact(self, bits):

@@ -11,8 +11,9 @@ first; each run is its own process with the checkout as working directory.
 Of each run it keeps the ``stamp {...}`` line (Python and mpmath versions,
 mpmath backend, ``--bits``, CPU count, source digest) and the final JSON
 line (metrics, attempted and failed invocations). The output file holds
-every kept run and, per workload and metric, both sides' medians, their
-ratio, the parent's quartile spread and the pairs the change read lower in.
+every kept run and, per workload, a summary: per metric both sides' medians,
+their ratio, the parent's quartile spread and the pairs the change read
+lower in, and under ``invocations`` each side's attempted and failed totals.
 """
 from __future__ import annotations
 
@@ -44,7 +45,8 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
 
 def summarize(runs: dict) -> dict:
     """Per metric: each side's median, their ratio, the parent's quartile spread
-    and the number of pairs in which the change read lower."""
+    and the number of pairs in which the change read lower (a tie counts for
+    neither side); under ``invocations``, each side's attempted and failed totals."""
     out = {}
     for name in runs["parent"][0]["result"]["metrics"]:
         vals = {side: [r["result"]["metrics"][name]["value"] for r in runs[side]] for side in SIDES}
@@ -54,6 +56,8 @@ def summarize(runs: dict) -> dict:
                      "change_over_parent": change / parent if parent else None,
                      "parent_quartile_spread": q3 - q1,
                      "pairs_change_lower": sum(c < p for p, c in zip(vals["parent"], vals["change"]))}
+    out["invocations"] = {side: {key: sum(r["result"][key] for r in runs[side])
+                                 for key in ("attempted", "failed")} for side in SIDES}
     return out
 
 
