@@ -14,7 +14,6 @@ from .asymptotics import (
     ExpansionCheck,
     ResidueCoefficient,
     TruncationError,
-    Variant,
     full_estimate,
     leading_estimate,
     log_leading_estimate,

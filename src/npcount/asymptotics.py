@@ -1,14 +1,37 @@
-"""Asymptotic polygon counts: main term, zeta-zero oscillations, variants.
+"""Asymptotic polygon counts: one saddle-point evaluator for every slope range.
 
-The height-n count grows like
+For slopes in [0, 1) the generating function is F(x) = Π_m (1-x^m)^(-φ(m)),
+and f(τ) = F(e^(-τ)) has the Mellin expansion
 
-    P(n) = (C^(1/9) K / sqrt(6π)) n^(-11/18) exp((3/2) C^(1/3) n^(2/3)),
+    log f(τ) = (C/2) τ^(-2) - (1/6) log τ + log K + osc(τ) + o(1),
+    osc(τ) = Σ_γ 2 Re(c_γ τ^(-γ)),   c_γ = Γ(γ) ζ(γ+1) ζ(γ-1) / ζ′(γ),
 
-and its logarithm oscillates around log P(n) with correction terms
-2 Re(c_γ τ^(-γ)) at the saddle scale τ = C^(1/3) n^(-1/3), one conjugate
-pair per non-trivial zeta zero γ = 1/2 + i t, with amplitude
+one conjugate pair per non-trivial zeta zero γ = 1/2 + i t. The other
+ranges differ from [0, 1) only in the exponents e(m) of a few small m
+(:func:`npcount.counting.segment_exponents`), so each is a power of F
+times an elementary factor, and near τ = 0, as 1 - e^(-mτ) ~ mτ,
 
-    c_γ = Γ(γ) ζ(γ+1) ζ(γ-1) / ζ′(γ).
+    log f_range(τ) = w log f(τ) - p log τ + c + o(1):
+
+    range     f_range                              (w, p, c)
+    [0, 1)    F                                    (1, 0, 0)
+    [0, 1]    F / (1-x)                            (1, 1, 0)
+    [0, 1/2]  F^(1/2) (1-x)^(-1/2) (1-x²)^(-1/2)    (1/2, 1, -(1/2) log 2)
+
+A factor (1 - x^m)^(-d) adds -d log τ - d log m: [0, 1] has e(1) = 2
+where φ(1) = 1, and [0, 1/2] has e(m) = φ(m)/2 for m >= 3 but
+e(1) = e(2) = 1 where φ(m)/2 = 1/2.
+
+The saddle point of f_range(τ) e^(nτ) sits where n = w C τ^(-3), at
+τ = (wC/n)^(1/3), and the Gaussian factor there, 1/sqrt(2π · 3wC τ^(-4)),
+gives every closed form at once:
+
+    log a(n) ~ (3/2) n τ + w log K + c - (1/2) log(6π w C)
+               + (2 - w/6 - p) log τ + w osc(τ).
+
+For [0, 1) this is log P(n) + osc(τ) with
+
+    P(n) = (C^(1/9) K / sqrt(6π)) n^(-11/18) exp((3/2) C^(1/3) n^(2/3)).
 
 All estimates are carried in natural-log scale; linear values are derived
 views. Zero sums are truncated at a fixed count k (default 25) — the
@@ -19,7 +42,6 @@ inequality Σ 2|c_γ| τ^(-1/2).
 """
 from __future__ import annotations
 
-import enum
 import functools
 from dataclasses import dataclass
 from typing import Sequence
@@ -34,16 +56,16 @@ from .zeros import ZetaZero, bundled_zeros, refine_zero
 #: Default number of zeros kept in oscillation sums.
 DEFAULT_ZERO_COUNT = 25
 
+#: (w, p, c / log 2) per slope range: log f_range(τ) = w log f(τ) - p log τ + c + o(1).
+_SADDLE_ROWS = {
+    SlopeRange.HALF_OPEN_01: (1, 0, 0),
+    SlopeRange.CLOSED_01: (1, 1, 0),
+    SlopeRange.CLOSED_0_HALF: (0.5, 1, -0.5),
+}
+
 
 class TruncationError(ArithmeticError):
     """A series failed to reach its truncation threshold."""
-
-
-class Variant(enum.Enum):
-    """Closed forms beyond the base [0, 1) count."""
-
-    CLOSED_01 = "closed"      # slopes in [0, 1]
-    SYMMETRIC = "symmetric"   # symmetric polygons, via the [0, 1/2] count
 
 
 @dataclass(frozen=True)
@@ -78,41 +100,7 @@ class AsymptoticBreakdown:
 
 
 # ---------------------------------------------------------------------------
-# saddle scale and main term
-# ---------------------------------------------------------------------------
-
-
-def saddle_tau(n: int, ctx: PrecisionContext = PrecisionContext()) -> HPReal:
-    """τ(n) = C^(1/3) n^(-1/3), where the tilted mean height equals n."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    C = constant_C(ctx)
-    with ctx.working():
-        return ctx.round(mp.cbrt(C / n))
-
-
-def log_leading_estimate(n: int, ctx: PrecisionContext = PrecisionContext()) -> HPReal:
-    """log P(n), the non-oscillatory main term in natural log."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    C = constant_C(ctx)
-    K = constant_K(ctx)
-    with ctx.working():
-        nn = mp.mpf(n)
-        val = (mp.log(C) / 9 + mp.log(K) - mp.log(6 * mp.pi) / 2
-               - mp.mpf(11) / 18 * mp.log(nn)
-               + mp.mpf(3) / 2 * mp.cbrt(C) * nn ** (mp.mpf(2) / 3))
-        return ctx.round(val)
-
-
-def leading_estimate(n: int, ctx: PrecisionContext = PrecisionContext()) -> HPReal:
-    """P(n) on the linear scale."""
-    with ctx.working():
-        return ctx.round(mp.exp(log_leading_estimate(n, ctx)))
-
-
-# ---------------------------------------------------------------------------
-# residue coefficients and oscillation sums
+# residue coefficients and the per-zero term
 # ---------------------------------------------------------------------------
 
 
@@ -160,91 +148,119 @@ def _zero_terms(zeros: Sequence[ZetaZero], k: int,
     return out
 
 
+def _zero_wave(logtau: HPReal, t: HPReal, c: HPComplex) -> HPComplex:
+    """c τ^(-γ) = c exp(-γ log τ) at γ = 1/2 + i t; its oscillation term is 2 Re of it."""
+    gamma = mp.mpc(mp.mpf(1) / 2, t)
+    return c * mp.exp(-gamma * logtau)
+
+
 def _oscillation_at_tau(tau: HPReal, terms: Sequence[tuple[HPReal, HPComplex]]) -> HPReal:
-    """Σ 2 Re(c τ^(-γ)) with τ^(-γ) = exp(-γ log τ), log τ real. Exactly real."""
+    """osc(τ) = Σ 2 Re(c τ^(-γ)), with log τ real. Exactly real."""
     logtau = mp.log(tau)
     acc = mp.mpf(0)
     for t, c in terms:
-        gamma = mp.mpc(mp.mpf(1) / 2, t)
-        acc += 2 * mp.re(c * mp.exp(-gamma * logtau))
+        acc += 2 * mp.re(_zero_wave(logtau, t, c))
     return acc
+
+
+# ---------------------------------------------------------------------------
+# the saddle point
+# ---------------------------------------------------------------------------
+
+
+def _tau(x, w, ctx: PrecisionContext) -> HPReal:
+    """τ = (wC/x)^(1/3), the saddle of f(τ)^w e^(xτ), where x = w C τ^(-3)."""
+    return mp.cbrt(w * constant_C(ctx) / x)
+
+
+def _saddle(slope_range: SlopeRange, n: int, zeros: Sequence[ZetaZero], k: int,
+            ctx: PrecisionContext) -> tuple[HPReal, HPReal, HPReal]:
+    """(τ, main term, w osc(τ)) for the height-n count, unrounded, at the current precision.
+
+    Call under ``ctx.working()``; the row (w, p, c) of ``_SADDLE_ROWS``
+    enters the closed form of the module docstring.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    terms = _zero_terms(zeros, k, ctx)
+    w, p, c_log2 = _SADDLE_ROWS[slope_range]
+    C = constant_C(ctx)
+    tau = _tau(n, w, ctx)
+    main = (mp.mpf(3) / 2 * n * tau + w * mp.log(constant_K(ctx)) + c_log2 * mp.log(2)
+            - mp.log(6 * mp.pi * w * C) / 2 + (12 - w - 6 * p) / mp.mpf(6) * mp.log(tau))
+    return tau, main, w * _oscillation_at_tau(tau, terms)
+
+
+def saddle_tau(n: int, ctx: PrecisionContext = PrecisionContext()) -> HPReal:
+    """τ(n) = C^(1/3) n^(-1/3), where the tilted mean height equals n."""
+    with ctx.working():
+        return ctx.round(_saddle(SlopeRange.HALF_OPEN_01, n, (), 0, ctx)[0])
+
+
+def log_leading_estimate(n: int, ctx: PrecisionContext = PrecisionContext()) -> HPReal:
+    """log P(n), the non-oscillatory main term in natural log."""
+    with ctx.working():
+        return ctx.round(_saddle(SlopeRange.HALF_OPEN_01, n, (), 0, ctx)[1])
+
+
+def leading_estimate(n: int, ctx: PrecisionContext = PrecisionContext()) -> HPReal:
+    """P(n) on the linear scale."""
+    with ctx.working():
+        return ctx.round(mp.exp(log_leading_estimate(n, ctx)))
 
 
 def oscillation_sum(n: int, zeros: Sequence[ZetaZero], k: int = DEFAULT_ZERO_COUNT,
                     ctx: PrecisionContext = PrecisionContext()) -> HPReal:
     """Oscillatory correction Σ over the first k zeros of 2 Re(c_γ τ(n)^(-γ))."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    terms = _zero_terms(zeros, k, ctx)
     with ctx.working():
-        tau = mp.cbrt(constant_C(ctx) / n)
-        return ctx.round(_oscillation_at_tau(tau, terms))
+        return ctx.round(_saddle(SlopeRange.HALF_OPEN_01, n, zeros, k, ctx)[2])
 
 
 def oscillation_tail_bound(n: int, zeros: Sequence[ZetaZero], start: int, stop: int,
                            ctx: PrecisionContext = PrecisionContext()) -> HPReal:
     """Triangle-inequality bound Σ_{j=start..stop-1} 2 |c_γj| τ^(-1/2)."""
-    terms = _zero_terms(zeros, stop, ctx)[start:]
     with ctx.working():
-        tau = mp.cbrt(constant_C(ctx) / n)
-        bound = sum((2 * abs(c) for _, c in terms), mp.mpf(0)) / mp.sqrt(tau)
-        return ctx.round(bound)
+        tau = _saddle(SlopeRange.HALF_OPEN_01, n, (), 0, ctx)[0]
+        terms = _zero_terms(zeros, stop, ctx)[start:]
+        return ctx.round(sum((2 * abs(c) for _, c in terms), mp.mpf(0)) / mp.sqrt(tau))
 
 
 def full_estimate(n: int, zeros: Sequence[ZetaZero], k: int = DEFAULT_ZERO_COUNT,
                   ctx: PrecisionContext = PrecisionContext()) -> AsymptoticBreakdown:
     """Main term plus truncated zero oscillation, as a breakdown."""
-    return AsymptoticBreakdown(
-        n=n,
-        tau=saddle_tau(n, ctx),
-        log_main=log_leading_estimate(n, ctx),
-        oscillation=oscillation_sum(n, zeros, k, ctx),
-        k_zeros=k,
-        ctx=ctx,
-    )
+    with ctx.working():
+        tau, main, osc = _saddle(SlopeRange.HALF_OPEN_01, n, zeros, k, ctx)
+        return AsymptoticBreakdown(n=n, tau=ctx.round(tau), log_main=ctx.round(main),
+                                   oscillation=ctx.round(osc), k_zeros=k, ctx=ctx)
 
 
-def variant_estimate(variant: Variant, n: int, zeros: Sequence[ZetaZero],
+def variant_estimate(slope_range: SlopeRange, n: int, zeros: Sequence[ZetaZero],
                      k: int = DEFAULT_ZERO_COUNT,
                      ctx: PrecisionContext = PrecisionContext(),
                      doubled: bool = False) -> HPReal:
-    """log-scale closed-form estimate for a variant count.
+    """log-scale closed-form estimate of the height-n count with slopes in a range.
 
-    CLOSED_01: slopes in [0, 1] — prefactor K C^(-2/9)/sqrt(6π), exponent
-    n^(-5/18), same saddle τ and full-weight oscillation.
+    With τ = (wC/n)^(1/3) and the module docstring's row (w, p, c), read
+    off the products F, F/(1-x) and F^(1/2) (1-x)^(-1/2) (1-x²)^(-1/2),
+    the estimate is (3/2) n τ + w log K + c - (1/2) log(6π w C)
+    + (2 - w/6 - p) log τ + w osc(τ):
 
-    SYMMETRIC: the [0, 1/2] count at g = n — prefactor
-    K^(1/2) C^(-7/36)/sqrt(6π), argument 2n, half-weight oscillation at
-    τ = C^(1/3) (2n)^(-1/3). With doubled=True adds log 2, matching the
-    symmetric-polygon total ~ 2 N_[0,1/2](g).
+    HALF_OPEN_01 (1, 0, 0): ``full_estimate(n, ...).log_estimate``.
+
+    CLOSED_01 (1, 1, 0): prefactor K C^(-2/9)/sqrt(6π), exponent
+    n^(-5/18), the same saddle τ and full-weight oscillation.
+
+    CLOSED_0_HALF (1/2, 1, -(1/2) log 2): prefactor K^(1/2) C^(-7/36)/sqrt(6π),
+    (2n)^(-11/36) exp((3/4) C^(1/3) (2n)^(2/3)), half-weight oscillation
+    at τ = C^(1/3) (2n)^(-1/3). With doubled=True adds log 2, matching
+    the symmetric-polygon total ~ 2 N_[0,1/2](g); doubled is valid only
+    for this range.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if doubled and variant is not Variant.SYMMETRIC:
-        raise ValueError("doubled only applies to the symmetric variant")
-    C = constant_C(ctx)
-    K = constant_K(ctx)
-    terms = _zero_terms(zeros, k, ctx)
+    if doubled and slope_range is not SlopeRange.CLOSED_0_HALF:
+        raise ValueError("doubled only applies to the [0, 1/2] range")
     with ctx.working():
-        if variant is Variant.CLOSED_01:
-            nn = mp.mpf(n)
-            tau = mp.cbrt(C / nn)
-            val = (mp.log(K) - mp.mpf(2) / 9 * mp.log(C) - mp.log(6 * mp.pi) / 2
-                   - mp.mpf(5) / 18 * mp.log(nn)
-                   + mp.mpf(3) / 2 * mp.cbrt(C) * nn ** (mp.mpf(2) / 3)
-                   + _oscillation_at_tau(tau, terms))
-        elif variant is Variant.SYMMETRIC:
-            n2 = mp.mpf(2 * n)
-            tau = mp.cbrt(C / n2)
-            val = (mp.log(K) / 2 - mp.mpf(7) / 36 * mp.log(C) - mp.log(6 * mp.pi) / 2
-                   - mp.mpf(11) / 36 * mp.log(n2)
-                   + mp.mpf(3) / 4 * mp.cbrt(C) * n2 ** (mp.mpf(2) / 3)
-                   + _oscillation_at_tau(tau, terms) / 2)
-            if doubled:
-                val += mp.log(2)
-        else:  # pragma: no cover
-            raise ValueError(f"unknown variant {variant!r}")
-        return ctx.round(val)
+        _, main, osc = _saddle(slope_range, n, zeros, k, ctx)
+        return ctx.round(main + osc + (mp.log(2) if doubled else 0))
 
 
 # ---------------------------------------------------------------------------
@@ -260,30 +276,24 @@ def _first_zero(bits: int) -> tuple[HPReal, HPComplex]:
     return t1, _coefficient(t1, bits)
 
 
+def _first_zero_wave(x, ctx: PrecisionContext) -> HPComplex:
+    """E(x) = c_γ1 τ(x)^(-γ1) at τ(x) = (C/x)^(1/3), x > 0; call under ``ctx.working()``."""
+    xx = mp.mpf(x)
+    if not xx > 0:
+        raise ValueError("x must be positive")
+    return _zero_wave(mp.log(_tau(xx, 1, ctx)), *_first_zero(ctx.bits))
+
+
 def wave_sample(x, ctx: PrecisionContext = PrecisionContext()) -> HPReal:
-    """First-zero wave y(x) = exp(2 Re(c_γ1 C^(-γ1/3) x^(γ1/3))), x > 0."""
-    t1, c1 = _first_zero(ctx.bits)
-    C = constant_C(ctx)
+    """First-zero wave y(x) = exp(2 Re E(x)) = exp(2 Re(c_γ1 C^(-γ1/3) x^(γ1/3))), x > 0."""
     with ctx.working():
-        xx = mp.mpf(x)
-        if not xx > 0:
-            raise ValueError("x must be positive")
-        gamma3 = mp.mpc(mp.mpf(1) / 2, t1) / 3
-        val = mp.exp(2 * mp.re(c1 * mp.power(C, -gamma3) * mp.power(xx, gamma3)))
-        return ctx.round(val)
+        return ctx.round(mp.exp(2 * mp.re(_first_zero_wave(x, ctx))))
 
 
 def wave_envelope(x, ctx: PrecisionContext = PrecisionContext()) -> HPReal:
-    """Amplitude bound: |log y(x)| <= 2 |c_γ1| |C^(-γ1/3)| x^(1/6)."""
-    t1, c1 = _first_zero(ctx.bits)
-    C = constant_C(ctx)
+    """Amplitude bound: |log y(x)| <= 2 |E(x)| = 2 |c_γ1| |C^(-γ1/3)| x^(1/6)."""
     with ctx.working():
-        xx = mp.mpf(x)
-        if not xx > 0:
-            raise ValueError("x must be positive")
-        gamma3 = mp.mpc(mp.mpf(1) / 2, t1) / 3
-        val = 2 * abs(c1) * abs(mp.power(C, -gamma3)) * xx ** (mp.mpf(1) / 6)
-        return ctx.round(val)
+        return ctx.round(2 * abs(_first_zero_wave(x, ctx)))
 
 
 # ---------------------------------------------------------------------------
@@ -309,24 +319,27 @@ _DIRECT_SUM_MAX_TERMS = 5_000_000
 _ZETA2_UPPER = mp.mpf(33) / 20
 
 
-def _logf_tail_bound(x: HPReal, m: int) -> HPReal:
-    """Upper bound for Σ_{N>=m} (b(N)/N) x^N, 0 < x < 1.
+def _logf_tail_bound(tau: HPReal):
+    """m -> an upper bound for Σ_{N>=m} (b(N)/N) x^N at x = e^(-τ), τ > 0.
 
     b(N) <= σ₂(N) < ζ(2) N², so the tail is below ζ(2) Σ_{N>=m} N x^N
     = ζ(2) x^m (m/(1-x) + x/(1-x)²), which decreases strictly in m.
+    1 - x is taken as -expm1(-τ), which stays positive where x rounds to 1.
     """
-    inv = 1 / (1 - x)
-    return _ZETA2_UPPER * x ** m * (m * inv + x * inv * inv)
+    x = mp.exp(-tau)
+    inv = 1 / -mp.expm1(-tau)
+    return lambda m: _ZETA2_UPPER * x ** m * (m * inv + x * inv * inv)
 
 
-def _logf_term_count(x: HPReal, cutoff: HPReal, cap: int) -> int:
+def _logf_term_count(tau: HPReal, cutoff: HPReal, cap: int) -> int:
     """Smallest M with tail(M + 1) < cutoff, or cap + 1 when M would exceed cap."""
-    if _logf_tail_bound(x, cap + 1) >= cutoff:
+    tail = _logf_tail_bound(tau)
+    if tail(cap + 1) >= cutoff:
         return cap + 1
     lo, hi = 0, cap  # tail(lo + 1) >= cutoff > tail(hi + 1)
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if _logf_tail_bound(x, mid + 1) < cutoff:
+        if tail(mid + 1) < cutoff:
             hi = mid
         else:
             lo = mid
@@ -336,7 +349,7 @@ def _logf_term_count(x: HPReal, cutoff: HPReal, cap: int) -> int:
 def _logf_tau_floor(cutoff: HPReal, cap: int) -> str:
     """The smallest τ in (0, 1], rounded up to 3 digits, whose sum fits in cap terms."""
     def fits(tau):
-        return _logf_tail_bound(mp.exp(-tau), cap + 1) < cutoff
+        return _logf_tail_bound(tau)(cap + 1) < cutoff
 
     lo, hi = mp.mpf(0), mp.mpf(1)
     if not fits(hi):
@@ -394,7 +407,7 @@ def logf_expansion_check(tau, zeros: Sequence[ZetaZero] = (), k: int = 0,
             raise ValueError("tau must be in (0, 1]")
         cutoff = mp.mpf(2) ** (-(ctx.bits + GUARD_BITS))
         cap = _DIRECT_SUM_MAX_TERMS
-        n_max = _logf_term_count(mp.exp(-tau), cutoff, cap)
+        n_max = _logf_term_count(tau, cutoff, cap)
         if n_max > cap:
             raise TruncationError(
                 f"direct sum at tau={mp.nstr(tau, 6)} needs more than {cap} terms; "

@@ -19,7 +19,6 @@ from .asymptotics import (
     DEFAULT_ZERO_COUNT,
     TruncationError,
     full_estimate,
-    log_leading_estimate,
     logf_expansion_check,
     wave_sample,
 )

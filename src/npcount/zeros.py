@@ -52,7 +52,10 @@ class ZetaZero:
 
 def load_zeros(path) -> list[ZetaZero]:
     """Parse a zero table: one decimal t per line, '#' comments, strictly increasing."""
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ZeroFileError(f"{path}: not UTF-8 text: {exc}") from None
     return _parse_zero_table(text, str(path))
 
 

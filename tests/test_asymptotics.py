@@ -4,7 +4,6 @@ import pytest
 from npcount import (
     PrecisionContext,
     SlopeRange,
-    Variant,
     bundled_zeros,
     count_series,
     full_estimate,
@@ -16,6 +15,8 @@ from npcount import (
     refine_catalog,
     residue_coefficient,
     saddle_tau,
+    segment_exponents,
+    totient_sieve,
     variant_estimate,
     wave_envelope,
     wave_sample,
@@ -146,13 +147,13 @@ class TestVariants:
     def test_closed_within_5_percent_at_100(self, ctx, zeros25, series_half_10k):
         with ctx.working():
             exact = mp.log(mp.mpf(sum(series_half_10k[i] for i in range(101))))
-            est = variant_estimate(Variant.CLOSED_01, 100, zeros25, 0, ctx)
+            est = variant_estimate(SlopeRange.CLOSED_01, 100, zeros25, 0, ctx)
         assert abs(est - exact) <= mp.mpf("0.05") * abs(exact)
 
     def test_symmetric_within_5_percent_at_100(self, ctx, zeros25, series_halfrange_10k):
         with ctx.working():
             exact = mp.log(mp.mpf(series_halfrange_10k[100]))
-            est = variant_estimate(Variant.SYMMETRIC, 100, zeros25, 0, ctx)
+            est = variant_estimate(SlopeRange.CLOSED_0_HALF, 100, zeros25, 0, ctx)
         assert abs(est - exact) <= mp.mpf("0.05") * abs(exact)
 
     def test_log_relative_error_shrinks_by_decade(self, ctx, zeros25, series_half_10k,
@@ -165,8 +166,9 @@ class TestVariants:
                 if i in (100, 1000, 10_000):
                     closed_exact[i] = prefix
             for variant, exact_of in (
-                (Variant.CLOSED_01, lambda n: closed_exact[n]),
-                (Variant.SYMMETRIC, lambda n: series_halfrange_10k[n]),
+                (SlopeRange.HALF_OPEN_01, lambda n: series_half_10k[n]),
+                (SlopeRange.CLOSED_01, lambda n: closed_exact[n]),
+                (SlopeRange.CLOSED_0_HALF, lambda n: series_halfrange_10k[n]),
             ):
                 errs = []
                 for n in (100, 1000, 10_000):
@@ -177,11 +179,37 @@ class TestVariants:
 
     def test_doubling_flag(self, ctx, zeros25):
         with ctx.working():
-            single = variant_estimate(Variant.SYMMETRIC, 42, zeros25, 2, ctx)
-            double = variant_estimate(Variant.SYMMETRIC, 42, zeros25, 2, ctx, doubled=True)
+            single = variant_estimate(SlopeRange.CLOSED_0_HALF, 42, zeros25, 2, ctx)
+            double = variant_estimate(SlopeRange.CLOSED_0_HALF, 42, zeros25, 2, ctx, doubled=True)
             assert rel(double - single, mp.log(2)) < mp.mpf(2) ** (32 - ctx.bits)
         with pytest.raises(ValueError):
-            variant_estimate(Variant.CLOSED_01, 42, zeros25, 2, ctx, doubled=True)
+            variant_estimate(SlopeRange.CLOSED_01, 42, zeros25, 2, ctx, doubled=True)
+
+    @pytest.mark.parametrize("bits", [64, 192, 512])
+    def test_half_open_is_full_estimate(self, first25, bits):
+        bctx = PrecisionContext(bits)
+        zeros = first25(bits)
+        for n in (1, 7, 100, 1000, 100_000):
+            for k in (0, 5):
+                est = variant_estimate(SlopeRange.HALF_OPEN_01, n, zeros, k, bctx)
+                want = full_estimate(n, zeros, k, bctx).log_estimate
+                with mp.workprec(bits + 64):
+                    assert abs(est - want) <= mp.mpf(2) ** (8 - bits) * abs(want), (n, k)
+
+    @pytest.mark.parametrize("slope_range", list(SlopeRange))
+    def test_saddle_row_matches_segment_exponents(self, slope_range):
+        # e(m) = w φ(m) for m >= 3; the excess d_m = e(m) - w φ(m) at m = 1, 2
+        # is a factor (1 - x^m)^(-d_m) ~ (mτ)^(-d_m), so p = Σ d_m and
+        # c = -Σ d_m log m
+        w, p, c_log2 = amod._SADDLE_ROWS[slope_range]
+        e = segment_exponents(slope_range, 200)
+        phi = totient_sieve(200)
+        assert all(e[m] == w * phi[m] for m in range(3, 201))
+        excess = {m: e[m] - w * phi[m] for m in (1, 2)}
+        assert p == sum(excess.values())
+        with mp.workprec(128):
+            c = -sum(d * mp.log(m) for m, d in excess.items())
+            assert abs(c_log2 * mp.log(2) - c) <= mp.mpf(2) ** -120
 
 
 class TestWave:
@@ -209,6 +237,15 @@ class TestWave:
         period = float(6 * mp.pi / bundled_zeros()[0].t)  # maxima spacing 6π/t1 in log x
         for a, b in zip(peaks, peaks[1:]):
             assert abs((b - a) - period) <= 0.02 * period
+
+    @pytest.mark.parametrize("bits", [64, 192, 512])
+    def test_sample_is_first_zero_oscillation(self, first25, bits):
+        bctx = PrecisionContext(bits)
+        for n in (1, 10, 1000, 10**6, 10**12):
+            y = wave_sample(n, bctx)
+            with mp.workprec(bits + 64):
+                want = mp.exp(oscillation_sum(n, first25(bits), 1, bctx))
+                assert abs(y - want) <= mp.mpf(2) ** (8 - bits) * want, n
 
     def test_rejects_nonpositive_x(self, ctx):
         with pytest.raises(ValueError):

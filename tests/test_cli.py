@@ -99,6 +99,15 @@ class TestLogfCheck:
         assert "--tau must be in (0, 1], got 2" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("tau", ["1e-80", "1e-300"])
+    def test_tau_where_x_rounds_to_one_names_the_floor(self, capsys, tau):
+        # e^(-tau) rounds to 1 here, so 1 - x must not be formed by subtraction
+        code, out, err = run(capsys, "logf-check", "--tau", tau, "--k-zeros", "0")
+        assert code == EXIT_NUMERIC
+        assert out == ""
+        assert "the smallest tau that fits at 192 bits is 3.63e-05" in err
+        assert "Traceback" not in err
+
     def test_reported_tau_floor_is_tight(self, capsys, monkeypatch):
         ctx = PrecisionContext(192)
         monkeypatch.setattr(amod, "_DIRECT_SUM_MAX_TERMS", 1000)
@@ -297,12 +306,13 @@ class TestKernelCommands:
         assert "npcount: numeric failure" in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("text", ["abc\n", "14.13\n-2\n", "21.02\n14.13\n"])
+    @pytest.mark.parametrize("text", ["abc\n", "14.13\n-2\n", "21.02\n14.13\n",
+                                      b"\xff\xfe14.13\n"])
     @pytest.mark.parametrize("command", [("zeros", "refine"),
                                          ("compare", "-n", "10", "--k-zeros", "1")])
     def test_malformed_zero_file_is_io_error(self, capsys, tmp_path, text, command):
         path = tmp_path / "zeros.txt"
-        path.write_text(text)
+        path.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
         code, out, err = run(capsys, *command, "--zero-file", str(path))
         assert code == EXIT_IO
         assert out == ""
