@@ -51,9 +51,14 @@ MAX_COUNT_HEIGHT = 100_000
 #: cost grows about as h^4.4.
 MAX_RHO_HEIGHT = 320
 
+#: Largest ``wave --samples``: 10^5 samples take 21 s at 192 bits with a
+#: 68 MB peak RSS, every row held until output; at 1024 bits a sample
+#: takes 0.67 ms, so 10^5 take about 67 s. Time and memory grow linearly.
+MAX_WAVE_SAMPLES = 100_000
+
 #: Largest ``--bits``: at 1024 bits ``zeros refine`` (100 zeros) takes
-#: about 19 s and ``compare -n 5`` (25 zeros) 8-10 s; from 192 to 1024 bits,
-#: the cost of either grows about as bits^1.7.
+#: 7-8 s and ``compare -n 5`` (25 zeros) 3-4 s; from 192 to 1024 bits, the
+#: cost of either grows about as bits^1.3.
 MAX_BITS = 1024
 
 
@@ -128,8 +133,8 @@ def _rows_compare(args, ctx):
 
 
 def _rows_wave(args, ctx):
-    if args.samples < 1:
-        raise UsageError("--samples must be >= 1")
+    if not 1 <= args.samples <= MAX_WAVE_SAMPLES:
+        raise UsageError(f"--samples must be in [1, {MAX_WAVE_SAMPLES}], got {args.samples}")
     if not (math.isfinite(args.xmax) and 0 < args.xmin <= args.xmax):
         raise UsageError(f"need finite --xmin and --xmax with 0 < --xmin <= --xmax, "
                          f"got {args.xmin} and {args.xmax}")

@@ -14,13 +14,16 @@ its own:
   at the integers 3 and 2 mpmath divides by (k+1)^s in integers, over ten
   times faster than the pass, and caches the value.
 
-mpmath takes ζ′ from Euler–Maclaurin sums on ``mpc`` objects, at 3 to 7
-times the cost of its fixed-point Borwein ζ at the same point; the pass
-gives both for about the cost of that ζ. The program calls the pass on the
-critical line (Newton's method and its residual check) and at ℜ s = 3/2
-(the residues), and with the bundled zeros never at |ℑ s| > 237: no
-command or benchmark workload reaches the edge ℜ s = bits or
-|ℑ s| = :data:`BORWEIN_MAX_HEIGHT`, which only the tests check.
+mpmath takes ζ′ from Euler–Maclaurin sums on ``mpc`` objects, at 1.5 to 5
+times the cost of its fixed-point Borwein ζ at the same point; the pass,
+which takes each power (k+1)^-s from those of the primes, gives both for
+a quarter to three fifths of the cost of that ζ (best of three at 224
+bits, ℜ s = 1/2 and 3/2, |ℑ s| from 14 to 237: 0.8–3.8 ms against
+1.4–15 ms). The program calls the pass on the critical line (Newton's
+method and its residual check) and at ℜ s = 3/2 (the residues), and with
+the bundled zeros never at |ℑ s| > 237: no command or benchmark workload
+reaches the edge ℜ s = bits or |ℑ s| = :data:`BORWEIN_MAX_HEIGHT`, which
+only the tests check.
 
 The wrappers add four things. They raise :class:`PoleError` within
 machine tolerance of a pole instead of returning garbage. They evaluate
@@ -48,8 +51,11 @@ from .precision import HPComplex, HPReal, PrecisionContext
 #: Largest |ℑ s| at which ζ and ζ′ come from the Borwein pass, whose term
 #: count grows as 0.9 |ℑ s|, faster than Euler–Maclaurin's. Best of three
 #: on the critical line, the pass against mpmath's ζ + ζ′: at 96 bits of
-#: working precision 39 vs 28 + 57 ms at |ℑ s| = 2000 and 97 vs 45 + 83 ms
-#: at 3000; at 1056 bits 393 vs 245 + 459 ms and 794 vs 270 + 456 ms.
+#: working precision 24 vs 27 + 41 ms at |ℑ s| = 2000 and 43 vs 27 + 54 ms
+#: at 3000; at 1056 bits 135 vs 228 + 394 ms and 248 vs 219 + 365 ms. The
+#: pass wins at 3000 too, but raising the bound would move the heights
+#: above 2000 from mpmath's route to the pass: a change of route, and of
+#: output bits, to be measured on its own.
 BORWEIN_MAX_HEIGHT = 2000
 
 
@@ -83,9 +89,45 @@ def _mirrored(f, s: HPComplex, ctx: PrecisionContext) -> tuple:
 def _in_borwein_strip(s: HPComplex, bits: int) -> bool:
     # ℜ s <= bits caps the ℜ s extra bits the pass spends because |ζ′| falls
     # like 2^-ℜ s. Best of three at t = 14.13, pass against mpmath's ζ + ζ′:
-    # at ℜ s = bits 1.7 vs 3.3 ms (64 bits) and 0.56 vs 0.24 s (1024 bits),
-    # at ℜ s = 4·bits 6.9 vs 2.5 ms and 8.7 vs 0.12 s.
+    # at ℜ s = bits 0.9 vs 3.6 ms (64 bits) and 67 vs 138 ms (1024 bits),
+    # at ℜ s = 4·bits 1.4 vs 2.4 ms and 863 vs 74 ms.
     return 0.5 <= mp.re(s) <= bits and abs(mp.im(s)) <= BORWEIN_MAX_HEIGHT
+
+
+def _powers(n: int, ref: int, imf: int, wp: int, critical: bool) -> tuple[list[int], list[int], list[int]]:
+    """(ℜ j^-s, ℑ j^-s, ln j) for j = 0..n in fixed point at wp bits (entry 0 unused).
+
+    j^-s = e^(-σ ln j) e^(-it ln j) and ln j are completely multiplicative
+    in j, so a smallest-prime-factor sieve takes them from the primes: a
+    prime p costs a log, a power (a square root on σ = 1/2, else an exp)
+    and a cos/sin, and a composite j = p·m one complex product of the
+    entries for p and m, with ln j = ln p + ln m. σ = ref and t = imf are
+    fixed-point at wp bits.
+    """
+    spf = list(range(n + 1))
+    for p in range(2, math.isqrt(n) + 1):
+        if spf[p] == p:
+            for m in range(p * p, n + 1, p):
+                if spf[m] == m:
+                    spf[m] = p
+    one_2wp = 1 << (2 * wp)
+    ln2, pi2 = ln2_fixed(wp), pi_fixed(wp - 1)
+    re, im, logs = [0, 1 << wp] + [0] * (n - 1), [0] * (n + 1), [0] * (n + 1)
+    for j in range(2, n + 1):
+        p = spf[j]
+        if p == j:
+            log = log_int_fixed(j, wp, ln2)
+            if critical:  # j^-1/2 by a square root, much cheaper than exp
+                w = one_2wp // isqrt_fast(j << (2 * wp))
+            else:
+                w = exp_fixed((-ref * log) >> wp, wp, ln2)
+            c, si = cos_sin_fixed((-imf * log) >> wp, wp, pi2)
+            re[j], im[j], logs[j] = (w * c) >> wp, (w * si) >> wp, log
+        else:
+            m = j // p
+            a, b, c, d = re[p], im[p], re[m], im[m]
+            re[j], im[j], logs[j] = (a * c - b * d) >> wp, (a * d + b * c) >> wp, logs[p] + logs[m]
+    return re, im, logs
 
 
 def _zeta_pair(s: HPComplex) -> tuple[HPComplex, HPComplex]:
@@ -97,16 +139,18 @@ def _zeta_pair(s: HPComplex) -> tuple[HPComplex, HPComplex]:
 
         η(s) = Σ_{k<n} (-1)^k w_k (k+1)^-s,  η′(s) = -Σ_{k<n} (-1)^k w_k ln(k+1) (k+1)^-s,
 
-    sharing each term's log, power and cos/sin between the two sums (the
-    loop of ``libmp.gammazeta.mpc_zeta``), and returns ζ = η/q and
-    ζ′ = (η′ - ζ q′)/q with q = 1 - 2^(1-s), q′ = 2^(1-s) ln 2.
+    sharing each term's log and power between the two sums, and returns
+    ζ = η/q and ζ′ = (η′ - ζ q′)/q with q = 1 - 2^(1-s), q′ = 2^(1-s) ln 2.
+    The powers and logs come from :func:`_powers`: one cos/sin per prime
+    p <= n rather than one per term.
 
     Weights. d_k = Σ_{i<=k} a_i with a_i = n (n+i-1)! 4^i / ((n-i)! (2i)!),
     the integers of ``libmp.gammazeta.borwein_coefficients``. The loop runs
     k downwards from n - 1, so d_n - d_k = a_n + ... + a_(k+1) builds up
     from a_n = 2^(2n-1) through a_k = a_(k+1) (2k+2)(2k+1) / (4 (n+k)(n-k)),
-    and ends at d_n. No list is kept: mpmath's module cache would hold
-    every n's list (about 2.54 n² bits) for good, and n moves with t and W.
+    and ends at d_n. No list outlives the call: mpmath's module cache would
+    hold every n's weight list (about 2.54 n² bits) for good, and n moves
+    with t and W.
 
     Truncation. η(z)Γ(z) = ∫_0^1 (-ln u)^(z-1)/(1+u) du, and the pass is
     that integral with 1/(1+u) replaced through a polynomial p_n with
@@ -129,13 +173,18 @@ def _zeta_pair(s: HPComplex) -> tuple[HPComplex, HPComplex]:
     W): ζ′ divides η′ by q and η by q², and |ζ′(s)| is of order 2^-σ for
     large σ.
 
-    Rounding. The sums run in integers at wp bits, u = 2^-wp. A term's
-    log is good to u, its power to 4u, and its angle t ln(k+1) to
-    (|t| + 1)u, so with cos/sin and the products each term of η is good
-    to (|t|(1 + ln n) + 10)u and each term of η′ to (1 + ln n) times that;
-    n terms then stay below 2^-E once
+    Rounding. The sums run in integers at wp bits, u = 2^-wp. For a prime
+    p <= n, ln p is good to u, p^-σ to 4u, the angle t ln p to (|t| + 1)u
+    and its reduction mod 2π to |t| ln n·u, so with cos/sin and the
+    product p^-s is good to e = (|t|(1 + ln n) + 10)u. Every entry has
+    modulus at most 1, so the product that gives j = p·m adds the errors
+    of p^-s and m^-s and at most 2u of its own, and the sum that gives
+    ln j adds theirs: an entry with Ω(j) <= log2 n prime factors is good
+    to Ω(j)(e + 2u), its log to Ω(j)u. So each term of η is good to
+    log2 n (e + 2u) and each term of η′ to (1 + ln n) times that; n terms
+    then stay below 2^-E once
 
-        wp = E + ⌈log2(n (1 + ln n) (|t| (1 + ln n) + 10))⌉.
+        wp = E + ⌈log2(n (1 + ln n) log2 n (|t| (1 + ln n) + 12))⌉.
     """
     prec = mp.mp.prec
     sigma, t = mp.re(s), mp.im(s)
@@ -145,26 +194,17 @@ def _zeta_pair(s: HPComplex) -> tuple[HPComplex, HPComplex]:
     n = math.ceil((target + 5 + math.log2(tf + 3) / 4 + math.pi / (2 * math.log(2)) * tf)
                   / math.log2(3 + math.sqrt(8)))
     ln_n = math.log(n)
-    wp = target + math.ceil(math.log2(n * (1 + ln_n) * (tf * (1 + ln_n) + 10)))
-    ref, imf = to_fixed(sigma._mpf_, wp), to_fixed(t._mpf_, wp)
-    critical = sigma == 0.5
-    one_2wp = 1 << (2 * wp)
-    ln2, pi2 = ln2_fixed(wp), pi_fixed(wp - 1)
+    wp = target + math.ceil(math.log2(n * (1 + ln_n) * math.log2(n) * (tf * (1 + ln_n) + 12)))
+    re_j, im_j, log_j = _powers(n, to_fixed(sigma._mpf_, wp), to_fixed(t._mpf_, wp), wp, sigma == 0.5)
     e_re = e_im = de_re = de_im = 0
     a = tail = 1 << (2 * n - 1)  # a_n and d_n - d_(n-1)
     for k in range(n - 1, -1, -1):
-        log = log_int_fixed(k + 1, wp, ln2)
-        if critical:  # (k+1)^-1/2 by a square root, much cheaper than exp
-            w = one_2wp // isqrt_fast((k + 1) << (2 * wp))
-        else:
-            w = exp_fixed((-ref * log) >> wp, wp, ln2)
-        w *= tail if k & 1 else -tail
-        c, si = cos_sin_fixed((-imf * log) >> wp, wp, pi2)
-        re, im = (w * c) >> wp, (w * si) >> wp
+        w = tail if k & 1 else -tail
+        re, im = w * re_j[k + 1], w * im_j[k + 1]
         e_re += re
         e_im += im
-        de_re += re * log
-        de_im += im * log
+        de_re += re * log_j[k + 1]
+        de_im += im * log_j[k + 1]
         a = a * (2 * k + 2) * (2 * k + 1) // (4 * (n + k) * (n - k))
         tail += a  # d_n - d_(k-1), and d_n once k = 0
     dn = tail

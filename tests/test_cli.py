@@ -29,6 +29,7 @@ from npcount.cli import (
     MAX_BITS,
     MAX_COUNT_HEIGHT,
     MAX_RHO_HEIGHT,
+    MAX_WAVE_SAMPLES,
     main,
 )
 
@@ -167,6 +168,8 @@ class TestBounds:
         (("compare", "-n", "10", "-n", str(MAX_COUNT_HEIGHT + 1)), "-n"),
         (("count", "--max", "5", "--bits", str(MAX_BITS + 1)), "--bits"),
         (("count", "--max", "5", "--bits", "63"), "bits"),
+        (("wave", "--xmin", "1", "--xmax", "10", "--samples", "0"), "--samples"),
+        (("wave", "--xmin", "1", "--xmax", "10", "--samples", str(MAX_WAVE_SAMPLES + 1)), "--samples"),
     ])
     def test_out_of_range_is_usage_error(self, capsys, monkeypatch, argv, flag):
         def forbidden(*args, **kwargs):
@@ -174,6 +177,7 @@ class TestBounds:
         monkeypatch.setattr("npcount.cli.count_series", forbidden)
         monkeypatch.setattr("npcount.cli.symmetric_count", forbidden)
         monkeypatch.setattr("npcount.cli.rho_recurrence_table", forbidden)
+        monkeypatch.setattr("npcount.cli.wave_sample", forbidden)
         code, out, err = run(capsys, *argv)
         assert code == EXIT_USAGE
         assert out == ""

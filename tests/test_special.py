@@ -258,6 +258,23 @@ class TestBorweinPass:
             assert zeta_derivative(s, ctx) == want[1]
         assert len(passes) == len(inside)
 
+    def test_top_edge_at_1024_bits(self):
+        """|ℑ s| = T at 1024 bits: the largest term count and the deepest power products."""
+        self.assert_matches_mpmath(mp.mpc(0.5, self.T), 1024)
+
+    @pytest.mark.parametrize("sigma", ["0.5", "1.5"])
+    def test_one_cos_sin_per_prime(self, sigma, monkeypatch):
+        """A pass of n terms takes cos/sin once per prime p <= n; a composite
+        j^-s is a product of two earlier powers."""
+        sizes, calls = [], []
+        powers, cos_sin = special._powers, special.cos_sin_fixed
+        monkeypatch.setattr(special, "_powers", lambda n, *rest: sizes.append(n) or powers(n, *rest))
+        monkeypatch.setattr(special, "cos_sin_fixed", lambda *a: calls.append(a) or cos_sin(*a))
+        zeta_with_derivative(mp.mpc(mp.mpf(sigma), bundled_zeros()[99].t), CTX)
+        [n] = sizes
+        primes = [j for j in range(2, n + 1) if all(j % p for p in range(2, math.isqrt(j) + 1))]
+        assert n > 300 and len(calls) == len(primes)
+
     @pytest.mark.parametrize("bits", [64, 192])
     @pytest.mark.parametrize("gap", [60, 80])
     def test_zeta_near_a_zero_of_q(self, bits, gap):
