@@ -2,9 +2,11 @@
 
 Exact side: arbitrary-size-integer counts of polygons by height for the
 slope ranges [0, 1), [0, 1] and [0, 1/2], the symmetric-polygon counts,
-and the triangular (height, depth) table. Asymptotic side: the saddle
-main term, residue coefficients of non-trivial zeta zeros and their
-oscillatory corrections, evaluated with high-precision Γ from mpmath,
+and the triangular (height, depth) table. Asymptotic side:
+:func:`full_estimate`, the saddle main term with the oscillatory
+corrections of the non-trivial zeta zeros as one breakdown, its variants
+for the other slope ranges, the first-zero wave and a check of the
+Mellin expansion of log f, evaluated with high-precision Γ from mpmath,
 ζ and ζ′ in the critical strip from one fixed-point Borwein pass of its
 own and from mpmath elsewhere, behind pole-checked, conjugate-symmetric,
 rounded wrappers.
@@ -12,18 +14,10 @@ rounded wrappers.
 from .asymptotics import (
     AsymptoticBreakdown,
     ExpansionCheck,
-    ResidueCoefficient,
     TruncationError,
     full_estimate,
-    leading_estimate,
-    log_leading_estimate,
     logf_expansion_check,
-    oscillation_sum,
-    oscillation_tail_bound,
-    residue_coefficient,
-    saddle_tau,
     variant_estimate,
-    wave_envelope,
     wave_sample,
 )
 from .counting import (

@@ -33,12 +33,14 @@ For [0, 1) this is log P(n) + osc(τ) with
 
     P(n) = (C^(1/9) K / sqrt(6π)) n^(-11/18) exp((3/2) C^(1/3) n^(2/3)).
 
-All estimates are carried in natural-log scale; linear values are derived
-views. Zero sums are truncated at a fixed count k (default 25) — the
-amplitudes |c_γ| fall off exponentially in t, like e^(-πt/2) times a
-slowly growing factor (|c_γ| e^(πt/2) is 2.1 at t = 14.1, 5.9 at 49.8 and
-28 at 236.5), so the truncation tail is bounded by the triangle
-inequality Σ 2|c_γ| τ^(-1/2).
+All estimates are carried in natural-log scale. :func:`full_estimate` is
+the public view of the [0, 1) estimate: its :class:`AsymptoticBreakdown`
+carries τ, the main term log P(n) and osc(τ) side by side. Zero sums
+are truncated at a fixed count k (default 25) — the amplitudes |c_γ|
+fall off exponentially in t, like e^(-πt/2) times a slowly growing
+factor (|c_γ| e^(πt/2) is 2.1 at t = 14.1, 5.9 at 49.8 and 28 at 236.5),
+so the truncation tail is bounded by the triangle inequality
+Σ 2|c_γ| τ^(-1/2).
 """
 from __future__ import annotations
 
@@ -51,7 +53,7 @@ import mpmath as mp
 from .counting import SlopeRange, log_derivative_weights, segment_exponents
 from .precision import GUARD_BITS, HPComplex, HPReal, PrecisionContext
 from .special import complex_gamma, complex_zeta, constant_C, constant_K, zeta_derivative
-from .zeros import ZetaZero, bundled_zeros, refine_zero
+from .zeros import ZetaZero, bundled_zeros, refine_catalog
 
 #: Default number of zeros kept in oscillation sums.
 DEFAULT_ZERO_COUNT = 25
@@ -66,14 +68,6 @@ _SADDLE_ROWS = {
 
 class TruncationError(ArithmeticError):
     """A series failed to reach its truncation threshold."""
-
-
-@dataclass(frozen=True)
-class ResidueCoefficient:
-    """Oscillation amplitude c_γ attached to one zero."""
-
-    zero: ZetaZero
-    c: HPComplex
 
 
 @dataclass(frozen=True)
@@ -92,21 +86,10 @@ class AsymptoticBreakdown:
         with self.ctx.final():
             return +(self.log_main + self.oscillation)
 
-    @property
-    def estimate(self) -> HPReal:
-        """Linear-scale view (mpf exponents are unbounded, so no overflow)."""
-        with self.ctx.working():
-            return self.ctx.round(mp.exp(self.log_main + self.oscillation))
-
 
 # ---------------------------------------------------------------------------
 # residue coefficients and the per-zero term
 # ---------------------------------------------------------------------------
-
-
-@functools.lru_cache(maxsize=4096)
-def _refined_t(t_seed: HPReal, bits: int) -> HPReal:
-    return refine_zero(t_seed, PrecisionContext(bits))
 
 
 @functools.lru_cache(maxsize=4096)
@@ -127,25 +110,14 @@ def _coefficient(t: HPReal, bits: int) -> HPComplex:
         return ctx.round(gamma_fn * zeta_p1 * zeta_m1 / zeta_derivative(gamma, ctx))
 
 
-def residue_coefficient(zero: ZetaZero, ctx: PrecisionContext = PrecisionContext()) -> ResidueCoefficient:
-    """c_γ = Γ(γ) ζ(γ+1) ζ(γ-1) / ζ′(γ) at γ = 1/2 + i t. Requires a refined zero."""
-    if not zero.refined:
-        raise ValueError("zero must be refined before computing its coefficient")
-    return ResidueCoefficient(zero, _coefficient(zero.t, ctx.bits))
-
-
 def _zero_terms(zeros: Sequence[ZetaZero], k: int,
                 ctx: PrecisionContext) -> list[tuple[HPReal, HPComplex]]:
-    """(t, c_γ) for the first k zeros; unrefined catalog entries are refined first."""
+    """(t, c_γ) for the first k zeros; :func:`refine_catalog` refines those not yet refined."""
     if k < 0:
         raise ValueError("k must be >= 0")
     if k > len(zeros):
         raise ValueError(f"k={k} exceeds catalog size {len(zeros)}")
-    out = []
-    for z in zeros[:k]:
-        t = z.t if z.refined else _refined_t(z.t, ctx.bits)
-        out.append((t, _coefficient(t, ctx.bits)))
-    return out
+    return [(z.t, _coefficient(z.t, ctx.bits)) for z in refine_catalog(zeros[:k], ctx)]
 
 
 def _zero_wave(logtau: HPReal, t: HPReal, c: HPComplex) -> HPComplex:
@@ -191,43 +163,9 @@ def _saddle(slope_range: SlopeRange, n: int, zeros: Sequence[ZetaZero], k: int,
     return tau, main, w * _oscillation_at_tau(tau, terms)
 
 
-def saddle_tau(n: int, ctx: PrecisionContext = PrecisionContext()) -> HPReal:
-    """τ(n) = C^(1/3) n^(-1/3), where the tilted mean height equals n."""
-    with ctx.working():
-        return ctx.round(_saddle(SlopeRange.HALF_OPEN_01, n, (), 0, ctx)[0])
-
-
-def log_leading_estimate(n: int, ctx: PrecisionContext = PrecisionContext()) -> HPReal:
-    """log P(n), the non-oscillatory main term in natural log."""
-    with ctx.working():
-        return ctx.round(_saddle(SlopeRange.HALF_OPEN_01, n, (), 0, ctx)[1])
-
-
-def leading_estimate(n: int, ctx: PrecisionContext = PrecisionContext()) -> HPReal:
-    """P(n) on the linear scale."""
-    with ctx.working():
-        return ctx.round(mp.exp(log_leading_estimate(n, ctx)))
-
-
-def oscillation_sum(n: int, zeros: Sequence[ZetaZero], k: int = DEFAULT_ZERO_COUNT,
-                    ctx: PrecisionContext = PrecisionContext()) -> HPReal:
-    """Oscillatory correction Σ over the first k zeros of 2 Re(c_γ τ(n)^(-γ))."""
-    with ctx.working():
-        return ctx.round(_saddle(SlopeRange.HALF_OPEN_01, n, zeros, k, ctx)[2])
-
-
-def oscillation_tail_bound(n: int, zeros: Sequence[ZetaZero], start: int, stop: int,
-                           ctx: PrecisionContext = PrecisionContext()) -> HPReal:
-    """Triangle-inequality bound Σ_{j=start..stop-1} 2 |c_γj| τ^(-1/2)."""
-    with ctx.working():
-        tau = _saddle(SlopeRange.HALF_OPEN_01, n, (), 0, ctx)[0]
-        terms = _zero_terms(zeros, stop, ctx)[start:]
-        return ctx.round(sum((2 * abs(c) for _, c in terms), mp.mpf(0)) / mp.sqrt(tau))
-
-
 def full_estimate(n: int, zeros: Sequence[ZetaZero], k: int = DEFAULT_ZERO_COUNT,
                   ctx: PrecisionContext = PrecisionContext()) -> AsymptoticBreakdown:
-    """Main term plus truncated zero oscillation, as a breakdown."""
+    """Main term plus truncated zero oscillation: τ, log P(n) and osc(τ) as one breakdown."""
     with ctx.working():
         tau, main, osc = _saddle(SlopeRange.HALF_OPEN_01, n, zeros, k, ctx)
         return AsymptoticBreakdown(n=n, tau=ctx.round(tau), log_main=ctx.round(main),
@@ -271,9 +209,7 @@ def variant_estimate(slope_range: SlopeRange, n: int, zeros: Sequence[ZetaZero],
 @functools.lru_cache(maxsize=None)
 def _first_zero(bits: int) -> tuple[HPReal, HPComplex]:
     """(t1, c_γ1) for the first zero, refined at the given precision."""
-    seed = bundled_zeros()[0].t
-    t1 = _refined_t(seed, bits)
-    return t1, _coefficient(t1, bits)
+    return _zero_terms(bundled_zeros(), 1, PrecisionContext(bits))[0]
 
 
 def _first_zero_wave(x, ctx: PrecisionContext) -> HPComplex:
@@ -288,12 +224,6 @@ def wave_sample(x, ctx: PrecisionContext = PrecisionContext()) -> HPReal:
     """First-zero wave y(x) = exp(2 Re E(x)) = exp(2 Re(c_γ1 C^(-γ1/3) x^(γ1/3))), x > 0."""
     with ctx.working():
         return ctx.round(mp.exp(2 * mp.re(_first_zero_wave(x, ctx))))
-
-
-def wave_envelope(x, ctx: PrecisionContext = PrecisionContext()) -> HPReal:
-    """Amplitude bound: |log y(x)| <= 2 |E(x)| = 2 |c_γ1| |C^(-γ1/3)| x^(1/6)."""
-    with ctx.working():
-        return ctx.round(2 * abs(_first_zero_wave(x, ctx)))
 
 
 # ---------------------------------------------------------------------------

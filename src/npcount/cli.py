@@ -203,7 +203,9 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", default=None, metavar="PATH",
                         help="write output to PATH instead of stdout")
     common.add_argument("--digits", type=int, default=15,
-                        help="significant digits for floating columns (default %(default)s)")
+                        help="significant digits for floating columns, at most the "
+                             "ceil(bits log10 2) that --bits holds: 20 at 64 bits, 58 at 192 "
+                             "(default %(default)s)")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -270,6 +272,10 @@ def main(argv=None) -> int:
             raise UsageError(f"--bits must be <= {MAX_BITS}, got {args.bits}")
         if args.digits < 1:
             raise UsageError(f"--digits must be >= 1, got {args.digits}")
+        held = math.ceil(args.bits * math.log10(2))
+        if args.digits > held:
+            raise UsageError(f"--digits must be <= {held}, the digits {args.bits} bits hold, "
+                             f"got {args.digits}")
         if args.command == "count":
             header, rows = _rows_count(args)
         elif args.command == "rho":

@@ -51,12 +51,6 @@ class PrecisionContext:
         with self.final():
             return +mp.mpf(x)
 
-    def complex(self, x, y=0) -> HPComplex:
-        """Parse/convert to an HPComplex rounded at this precision."""
-        with self.final():
-            return +mp.mpc(mp.mpf(x) if isinstance(x, str) else x,
-                           mp.mpf(y) if isinstance(y, str) else y)
-
     def round(self, v):
         """Round an mpf/mpc result to the nominal precision."""
         with self.final():

@@ -44,7 +44,12 @@ class NonConvergenceError(ArithmeticError):
 
 @dataclass(frozen=True)
 class ZetaZero:
-    """A zero 1/2 + i t with t > 0; `refined` marks working-precision t."""
+    """A zero 1/2 + i t with t > 0; `refined` marks working-precision t.
+
+    :func:`refine_catalog` is the only place where a zero is refined:
+    every consumer of t, the residue coefficients included, takes its
+    zeros through it.
+    """
 
     t: HPReal
     refined: bool = False

@@ -1,3 +1,5 @@
+import functools
+
 import mpmath as mp
 import pytest
 
@@ -6,24 +8,16 @@ from npcount import (
     SlopeRange,
     bundled_zeros,
     count_series,
+    constant_C,
     full_estimate,
-    leading_estimate,
-    log_leading_estimate,
     logf_expansion_check,
-    oscillation_sum,
-    oscillation_tail_bound,
-    refine_catalog,
-    residue_coefficient,
-    saddle_tau,
     segment_exponents,
     totient_sieve,
     variant_estimate,
-    wave_envelope,
     wave_sample,
 )
 import npcount.asymptotics as amod
 from npcount.asymptotics import TruncationError
-from npcount.zeros import ZetaZero
 
 import golden
 import oracles
@@ -33,95 +27,111 @@ def rel(a, b):
     return abs(a - b) / abs(b)
 
 
+@functools.lru_cache(maxsize=None)
+def oracle_modulus(t, bits):
+    """|c_γ| at γ = 1/2 + i t from the four-call oracle, at bits + 64."""
+    with mp.workprec(bits + 64):
+        return abs(oracles.residue_coefficient_reference(t, bits))
+
+
+def triangle_bound(zeros, start, stop, tau, bits):
+    """Σ_{j=start..stop-1} 2 |c_γj| τ^(-1/2): no zeros start..stop-1 move osc(τ) further."""
+    with mp.workprec(bits + 64):
+        return sum(2 * oracle_modulus(z.t, bits) for z in zeros[start:stop]) / mp.sqrt(tau)
+
+
+def wave_envelope(x, t1, ctx):
+    """2 |c_γ1| C^(-1/6) x^(1/6) = 2 |c_γ1 τ(x)^(-γ1)|, the bound on |log y(x)| of the wave."""
+    with mp.workprec(ctx.bits + 64):
+        return 2 * oracle_modulus(t1, ctx.bits) * mp.root(mp.mpf(x) / constant_C(ctx), 6)
+
+
 class TestLeadingEstimate:
     @pytest.mark.parametrize("n,text", sorted(golden.LEADING_TERM.items()))
     def test_golden_values_nine_digits(self, ctx, n, text):
         want = ctx.real(text)
-        assert rel(leading_estimate(n, ctx), want) < mp.mpf("2e-9")
-
-    def test_log_and_linear_agree(self, ctx):
         with ctx.working():
-            lg = log_leading_estimate(1000, ctx)
-            assert rel(mp.exp(lg), leading_estimate(1000, ctx)) < mp.mpf(2) ** (16 - ctx.bits)
+            assert rel(mp.exp(full_estimate(n, (), 0, ctx).log_main), want) < mp.mpf("2e-9")
 
     def test_saddle_scale(self, ctx):
-        tau = saddle_tau(100_000, ctx)
+        tau = full_estimate(100_000, (), 0, ctx).tau
         assert abs(tau - mp.mpf("0.024449")) < mp.mpf("1e-5")
 
     def test_rejects_nonpositive(self, ctx):
         with pytest.raises(ValueError):
-            leading_estimate(0, ctx)
+            full_estimate(0, (), 0, ctx)
 
 
 class TestResidueCoefficients:
     def test_golden_first_three(self, ctx, zeros25):
-        for zero, (re_s, im_s) in zip(zeros25, golden.RESIDUE_COEFFS):
-            c = residue_coefficient(zero, ctx).c
-            want = ctx.complex(re_s, im_s)
+        terms = amod._zero_terms(zeros25, len(golden.RESIDUE_COEFFS), ctx)
+        for (_, c), (re_s, im_s) in zip(terms, golden.RESIDUE_COEFFS):
+            with ctx.working():
+                want = ctx.round(mp.mpc(ctx.real(re_s), ctx.real(im_s)))
             assert rel(c, want) < mp.mpf("1e-6")
 
-    def test_requires_refined(self, ctx):
-        with pytest.raises(ValueError):
-            residue_coefficient(ZetaZero(t=mp.mpf("14.1347"), refined=False), ctx)
+    @pytest.mark.parametrize("bits", [64, 192])
+    def test_mixed_catalog_takes_the_refined_route(self, first25, bits):
+        # every other entry a bare seed: each must come out as if refined beforehand
+        ctx = PrecisionContext(bits)
+        refined = first25(bits)[:6]
+        mixed = [z if i % 2 else seed for i, (z, seed) in enumerate(zip(refined, bundled_zeros()))]
+        assert [z.refined for z in mixed] == [False, True] * 3
+        assert amod._zero_terms(mixed, 6, ctx) == amod._zero_terms(refined, 6, ctx)
 
     def test_moduli_strictly_decreasing_first_30(self, ctx, catalog):
-        zs = refine_catalog(catalog[:30], ctx)
-        mods = [abs(residue_coefficient(z, ctx).c) for z in zs]
+        mods = [abs(c) for _, c in amod._zero_terms(catalog, 30, ctx)]
         assert all(a > b for a, b in zip(mods, mods[1:]))
 
     @pytest.mark.parametrize("bits", [64, 192, 512])
     def test_against_four_call_reference(self, first25, bits):
         ctx = PrecisionContext(bits)
-        for z in first25(bits):
-            c = residue_coefficient(z, ctx).c
-            want = oracles.residue_coefficient_reference(z.t, bits)
+        for t, c in amod._zero_terms(first25(bits), 25, ctx):
+            want = oracles.residue_coefficient_reference(t, bits)
             with mp.workprec(bits + 64):
                 assert abs(c - want) <= mp.mpf(2) ** (8 - bits) * abs(want)
 
 
 class TestOscillation:
     def test_empty_sum_is_zero(self, ctx, zeros25):
-        assert oscillation_sum(10, zeros25, 0, ctx) == 0
+        assert full_estimate(10, zeros25, 0, ctx).oscillation == 0
 
     def test_result_is_exactly_real(self, ctx, zeros25):
-        v = oscillation_sum(1000, zeros25, 25, ctx)
+        v = full_estimate(1000, zeros25, 25, ctx).oscillation
         assert isinstance(v, mp.mpf)
 
     def test_first_zero_magnitude_bound_at_1e5(self, ctx, zeros25):
-        v = oscillation_sum(100_000, zeros25, 1, ctx)
-        bound = oscillation_tail_bound(100_000, zeros25, 0, 1, ctx)
-        assert abs(v) <= bound
+        est = full_estimate(100_000, zeros25, 1, ctx)
+        bound = triangle_bound(zeros25, 0, 1, est.tau, ctx.bits)
+        assert abs(est.oscillation) <= bound
         assert bound < mp.mpf("6.5e-9")
 
     @pytest.mark.parametrize("n", [1000, 10_000, 100_000])
     def test_three_vs_one_triangle_bound(self, ctx, zeros25, n):
-        d = oscillation_sum(n, zeros25, 3, ctx) - oscillation_sum(n, zeros25, 1, ctx)
-        assert abs(d) <= oscillation_tail_bound(n, zeros25, 1, 3, ctx)
+        three = full_estimate(n, zeros25, 3, ctx)
+        d = three.oscillation - full_estimate(n, zeros25, 1, ctx).oscillation
+        assert abs(d) <= triangle_bound(zeros25, 1, 3, three.tau, ctx.bits)
 
     @pytest.mark.parametrize("n", [100, 1000, 10_000])
     def test_truncation_stability(self, ctx, zeros25, n):
-        d = oscillation_sum(n, zeros25, 25, ctx) - oscillation_sum(n, zeros25, 10, ctx)
-        assert abs(d) <= oscillation_tail_bound(n, zeros25, 10, 25, ctx)
+        all25 = full_estimate(n, zeros25, 25, ctx)
+        d = all25.oscillation - full_estimate(n, zeros25, 10, ctx).oscillation
+        assert abs(d) <= triangle_bound(zeros25, 10, 25, all25.tau, ctx.bits)
 
     def test_k_beyond_catalog_rejected(self, ctx, zeros25):
         with pytest.raises(ValueError):
-            oscillation_sum(10, zeros25, 26, ctx)
-
-    def test_unrefined_zeros_are_refined_on_the_fly(self, ctx, catalog, zeros25):
-        a = oscillation_sum(500, catalog, 5, ctx)
-        b = oscillation_sum(500, zeros25, 5, ctx)
-        assert rel(a, b) < mp.mpf("1e-15")
+            full_estimate(10, zeros25, 26, ctx)
 
 
 class TestFullEstimate:
     def test_k0_reduces_to_leading(self, ctx, zeros25):
         est = full_estimate(123, zeros25, 0, ctx)
         assert est.oscillation == 0
-        assert est.log_estimate == log_leading_estimate(123, ctx)
+        assert est.log_estimate == full_estimate(123, (), 0, ctx).log_main
 
     def test_breakdown_bound_invariant(self, ctx, zeros25):
         est = full_estimate(777, zeros25, 25, ctx)
-        assert abs(est.oscillation) <= oscillation_tail_bound(777, zeros25, 0, 25, ctx)
+        assert abs(est.oscillation) <= triangle_bound(zeros25, 0, 25, est.tau, ctx.bits)
 
     def test_against_exact_1000(self, ctx, zeros25, series_half_10k):
         with ctx.working():
@@ -136,11 +146,6 @@ class TestFullEstimate:
                 exact = mp.log(mp.mpf(series_half_10k[n]))
                 gaps.append(abs(full_estimate(n, zeros25, 25, ctx).log_estimate - exact))
         assert gaps[1] < gaps[0]
-
-    def test_linear_view(self, ctx, zeros25):
-        est = full_estimate(50, zeros25, 3, ctx)
-        with ctx.working():
-            assert rel(mp.log(est.estimate), est.log_estimate) < mp.mpf(2) ** (16 - ctx.bits)
 
 
 class TestVariants:
@@ -213,17 +218,17 @@ class TestVariants:
 
 
 class TestWave:
-    def test_amplitude_vanishes_at_zero(self, ctx):
+    def test_amplitude_vanishes_at_zero(self, ctx, zeros25):
         y = wave_sample(mp.mpf("1e-30"), ctx)
         assert abs(y - 1) < mp.mpf("1e-12")
-        assert wave_envelope(mp.mpf("1e-30"), ctx) < mp.mpf("1e-13")
+        assert wave_envelope(mp.mpf("1e-30"), zeros25[0].t, ctx) < mp.mpf("1e-13")
 
-    def test_envelope_bound_everywhere(self, ctx):
+    def test_envelope_bound_everywhere(self, ctx, zeros25):
         with ctx.working():
             for i in range(60):
                 x = mp.mpf(10) ** (mp.mpf(i) / 4)  # 1 .. 1e15 in log steps
                 logy = mp.log(wave_sample(x, ctx))
-                assert abs(logy) <= wave_envelope(x, ctx) * (1 + mp.mpf("1e-30"))
+                assert abs(logy) <= wave_envelope(x, zeros25[0].t, ctx) * (1 + mp.mpf("1e-30"))
 
     def test_maxima_spacing_in_log_x(self, ctx):
         import math
@@ -244,7 +249,7 @@ class TestWave:
         for n in (1, 10, 1000, 10**6, 10**12):
             y = wave_sample(n, bctx)
             with mp.workprec(bits + 64):
-                want = mp.exp(oscillation_sum(n, first25(bits), 1, bctx))
+                want = mp.exp(full_estimate(n, first25(bits), 1, bctx).oscillation)
                 assert abs(y - want) <= mp.mpf(2) ** (8 - bits) * want, n
 
     def test_rejects_nonpositive_x(self, ctx):

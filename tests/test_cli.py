@@ -51,6 +51,29 @@ class TestDigits:
         assert "--digits must be >= 1" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", [("zeros", "dump"), ("compare", "-n", "10"),
+                                         ("logf-check", "--tau", "0.5"),
+                                         ("wave", "--xmin", "1", "--xmax", "10", "--samples", "2"),
+                                         ("count", "--max", "5")])
+    @pytest.mark.parametrize("bits,held", [(64, 20), (192, 58), (1024, 309)])
+    def test_above_the_precision_is_usage_error(self, capsys, monkeypatch, command, bits, held):
+        # ceil(bits log10 2) digits: a longer string only prints noise, and slowly
+        def forbidden(*args, **kwargs):
+            raise AssertionError("work started before --digits was checked")
+        for name in ("bundled_zeros", "load_zeros", "count_series", "refine_catalog",
+                     "full_estimate", "logf_expansion_check", "wave_sample"):
+            monkeypatch.setattr(f"npcount.cli.{name}", forbidden)
+        code, out, err = run(capsys, *command, "--bits", str(bits), "--digits", str(held + 1))
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert f"--digits must be <= {held}, the digits {bits} bits hold, got {held + 1}" in err
+        assert "Traceback" not in err
+
+    def test_the_bound_is_inclusive(self, capsys):
+        code, out, _ = run(capsys, "zeros", "dump", "--bits", "64", "--digits", "20")
+        assert code == EXIT_OK
+        assert out.splitlines()[2] == "2,21.022039638771554993"  # 20 digits
+
 
 class TestLogfCheck:
     ARGV = ("logf-check", "--tau", "0.05", "--k-zeros", "0")
