@@ -11,23 +11,25 @@ ranges differ from [0, 1) only in the exponents e(m) of a few small m
 (:func:`npcount.counting.segment_exponents`), so each is a power of F
 times an elementary factor, and near τ = 0, as 1 - e^(-mτ) ~ mτ,
 
-    log f_range(τ) = w log f(τ) - p log τ + c + o(1):
+    log f_range(τ) = w log f(τ) - p log τ + c + q τ + O(τ²):
 
-    range     f_range                              (w, p, c)
-    [0, 1)    F                                    (1, 0, 0)
-    [0, 1]    F / (1-x)                            (1, 1, 0)
-    [0, 1/2]  F^(1/2) (1-x)^(-1/2) (1-x²)^(-1/2)    (1/2, 1, -(1/2) log 2)
+    range     f_range                              (w, p, c, q)
+    [0, 1)    F                                    (1, 0, 0, 0)
+    [0, 1]    F / (1-x)                            (1, 1, 0, 1/2)
+    [0, 1/2]  F^(1/2) (1-x)^(-1/2) (1-x²)^(-1/2)    (1/2, 1, -(1/2) log 2, 3/4)
 
-A factor (1 - x^m)^(-d) adds -d log τ - d log m: [0, 1] has e(1) = 2
-where φ(1) = 1, and [0, 1/2] has e(m) = φ(m)/2 for m >= 3 but
-e(1) = e(2) = 1 where φ(m)/2 = 1/2.
+As 1 - e^(-mτ) = mτ e^(-mτ/2) (1 + O(τ²)), a factor (1 - x^m)^(-d)
+adds -d log τ - d log m + d m τ / 2: [0, 1] has e(1) = 2 where
+φ(1) = 1, and [0, 1/2] has e(m) = φ(m)/2 for m >= 3 but e(1) = e(2) = 1
+where φ(m)/2 = 1/2. So p = Σ d_m, c = -Σ d_m log m and q = Σ d_m m / 2
+over the excess d_m = e(m) - w φ(m).
 
 The saddle point of f_range(τ) e^(nτ) sits where n = w C τ^(-3), at
 τ = (wC/n)^(1/3), and the Gaussian factor there, 1/sqrt(2π · 3wC τ^(-4)),
 gives every closed form at once:
 
     log a(n) ~ (3/2) n τ + w log K + c - (1/2) log(6π w C)
-               + (2 - w/6 - p) log τ + w osc(τ).
+               + (2 - w/6 - p) log τ + q τ + w osc(τ).
 
 For [0, 1) this is log P(n) + osc(τ) with
 
@@ -36,7 +38,7 @@ For [0, 1) this is log P(n) + osc(τ) with
 All estimates are carried in natural-log scale. :func:`full_estimate` is
 the public view of the [0, 1) estimate: its :class:`AsymptoticBreakdown`
 carries τ, the main term log P(n) and osc(τ) side by side. Zero sums
-are truncated at a fixed count k (default 25) — the amplitudes |c_γ|
+run over the zeros the caller passes — the amplitudes |c_γ|
 fall off exponentially in t, like e^(-πt/2) times a slowly growing
 factor (|c_γ| e^(πt/2) is 2.1 at t = 14.1, 5.9 at 49.8 and 28 at 236.5),
 so the truncation tail is bounded by the triangle inequality
@@ -55,14 +57,12 @@ from .precision import GUARD_BITS, HPComplex, HPReal, PrecisionContext
 from .special import complex_gamma, complex_zeta, constant_C, constant_K, zeta_derivative
 from .zeros import ZetaZero, bundled_zeros, refine_catalog
 
-#: Default number of zeros kept in oscillation sums.
-DEFAULT_ZERO_COUNT = 25
-
-#: (w, p, c / log 2) per slope range: log f_range(τ) = w log f(τ) - p log τ + c + o(1).
+#: (w, p, c / log 2, q) per slope range:
+#: log f_range(τ) = w log f(τ) - p log τ + c + q τ + O(τ²).
 _SADDLE_ROWS = {
-    SlopeRange.HALF_OPEN_01: (1, 0, 0),
-    SlopeRange.CLOSED_01: (1, 1, 0),
-    SlopeRange.CLOSED_0_HALF: (0.5, 1, -0.5),
+    SlopeRange.HALF_OPEN_01: (1, 0, 0, 0),
+    SlopeRange.CLOSED_01: (1, 1, 0, 0.5),
+    SlopeRange.CLOSED_0_HALF: (0.5, 1, -0.5, 0.75),
 }
 
 
@@ -74,11 +74,9 @@ class TruncationError(ArithmeticError):
 class AsymptoticBreakdown:
     """log-scale estimate split into main term and zero oscillation."""
 
-    n: int
     tau: HPReal
     log_main: HPReal
     oscillation: HPReal
-    k_zeros: int
     ctx: PrecisionContext
 
     @property
@@ -110,28 +108,17 @@ def _coefficient(t: HPReal, bits: int) -> HPComplex:
         return ctx.round(gamma_fn * zeta_p1 * zeta_m1 / zeta_derivative(gamma, ctx))
 
 
-def _zero_terms(zeros: Sequence[ZetaZero], k: int,
-                ctx: PrecisionContext) -> list[tuple[HPReal, HPComplex]]:
-    """(t, c_γ) for the first k zeros; :func:`refine_catalog` refines those not yet refined."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    if k > len(zeros):
-        raise ValueError(f"k={k} exceeds catalog size {len(zeros)}")
-    return [(z.t, _coefficient(z.t, ctx.bits)) for z in refine_catalog(zeros[:k], ctx)]
-
-
-def _zero_wave(logtau: HPReal, t: HPReal, c: HPComplex) -> HPComplex:
-    """c τ^(-γ) = c exp(-γ log τ) at γ = 1/2 + i t; its oscillation term is 2 Re of it."""
-    gamma = mp.mpc(mp.mpf(1) / 2, t)
-    return c * mp.exp(-gamma * logtau)
+def _zero_terms(zeros: Sequence[ZetaZero], ctx: PrecisionContext) -> list[tuple[HPReal, HPComplex]]:
+    """(t, c_γ) for every zero given; :func:`refine_catalog` refines those not refined at ctx."""
+    return [(z.t, _coefficient(z.t, ctx.bits)) for z in refine_catalog(zeros, ctx)]
 
 
 def _oscillation_at_tau(tau: HPReal, terms: Sequence[tuple[HPReal, HPComplex]]) -> HPReal:
-    """osc(τ) = Σ 2 Re(c τ^(-γ)), with log τ real. Exactly real."""
+    """osc(τ) = Σ 2 Re(c τ^(-γ)), c τ^(-γ) = c exp(-γ log τ) at γ = 1/2 + i t. Exactly real."""
     logtau = mp.log(tau)
     acc = mp.mpf(0)
     for t, c in terms:
-        acc += 2 * mp.re(_zero_wave(logtau, t, c))
+        acc += 2 * mp.re(c * mp.exp(-mp.mpc(mp.mpf(1) / 2, t) * logtau))
     return acc
 
 
@@ -145,60 +132,62 @@ def _tau(x, w, ctx: PrecisionContext) -> HPReal:
     return mp.cbrt(w * constant_C(ctx) / x)
 
 
-def _saddle(slope_range: SlopeRange, n: int, zeros: Sequence[ZetaZero], k: int,
+def _saddle(slope_range: SlopeRange, n: int, zeros: Sequence[ZetaZero],
             ctx: PrecisionContext) -> tuple[HPReal, HPReal, HPReal]:
     """(τ, main term, w osc(τ)) for the height-n count, unrounded, at the current precision.
 
-    Call under ``ctx.working()``; the row (w, p, c) of ``_SADDLE_ROWS``
+    Call under ``ctx.working()``; the row (w, p, c, q) of ``_SADDLE_ROWS``
     enters the closed form of the module docstring.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    terms = _zero_terms(zeros, k, ctx)
-    w, p, c_log2 = _SADDLE_ROWS[slope_range]
+    terms = _zero_terms(zeros, ctx)
+    w, p, c_log2, q = _SADDLE_ROWS[slope_range]
     C = constant_C(ctx)
     tau = _tau(n, w, ctx)
     main = (mp.mpf(3) / 2 * n * tau + w * mp.log(constant_K(ctx)) + c_log2 * mp.log(2)
-            - mp.log(6 * mp.pi * w * C) / 2 + (12 - w - 6 * p) / mp.mpf(6) * mp.log(tau))
+            - mp.log(6 * mp.pi * w * C) / 2 + (12 - w - 6 * p) / mp.mpf(6) * mp.log(tau)
+            + q * tau)
     return tau, main, w * _oscillation_at_tau(tau, terms)
 
 
-def full_estimate(n: int, zeros: Sequence[ZetaZero], k: int = DEFAULT_ZERO_COUNT,
+def full_estimate(n: int, zeros: Sequence[ZetaZero],
                   ctx: PrecisionContext = PrecisionContext()) -> AsymptoticBreakdown:
-    """Main term plus truncated zero oscillation: τ, log P(n) and osc(τ) as one breakdown."""
+    """Main term plus the oscillation of the given zeros: τ, log P(n) and osc(τ) as one breakdown."""
     with ctx.working():
-        tau, main, osc = _saddle(SlopeRange.HALF_OPEN_01, n, zeros, k, ctx)
-        return AsymptoticBreakdown(n=n, tau=ctx.round(tau), log_main=ctx.round(main),
-                                   oscillation=ctx.round(osc), k_zeros=k, ctx=ctx)
+        tau, main, osc = _saddle(SlopeRange.HALF_OPEN_01, n, zeros, ctx)
+        return AsymptoticBreakdown(tau=ctx.round(tau), log_main=ctx.round(main),
+                                   oscillation=ctx.round(osc), ctx=ctx)
 
 
 def variant_estimate(slope_range: SlopeRange, n: int, zeros: Sequence[ZetaZero],
-                     k: int = DEFAULT_ZERO_COUNT,
                      ctx: PrecisionContext = PrecisionContext(),
                      doubled: bool = False) -> HPReal:
     """log-scale closed-form estimate of the height-n count with slopes in a range.
 
-    With τ = (wC/n)^(1/3) and the module docstring's row (w, p, c), read
-    off the products F, F/(1-x) and F^(1/2) (1-x)^(-1/2) (1-x²)^(-1/2),
+    With τ = (wC/n)^(1/3) and the module docstring's row (w, p, c, q),
+    read off the products F, F/(1-x) and F^(1/2) (1-x)^(-1/2) (1-x²)^(-1/2),
     the estimate is (3/2) n τ + w log K + c - (1/2) log(6π w C)
-    + (2 - w/6 - p) log τ + w osc(τ):
+    + (2 - w/6 - p) log τ + q τ + w osc(τ):
 
-    HALF_OPEN_01 (1, 0, 0): ``full_estimate(n, ...).log_estimate``.
+    HALF_OPEN_01 (1, 0, 0, 0): ``full_estimate(n, ...).log_estimate``.
 
-    CLOSED_01 (1, 1, 0): prefactor K C^(-2/9)/sqrt(6π), exponent
-    n^(-5/18), the same saddle τ and full-weight oscillation.
+    CLOSED_01 (1, 1, 0, 1/2): prefactor K C^(-2/9)/sqrt(6π), exponent
+    n^(-5/18), the same saddle τ plus τ/2 and full-weight oscillation.
 
-    CLOSED_0_HALF (1/2, 1, -(1/2) log 2): prefactor K^(1/2) C^(-7/36)/sqrt(6π),
-    (2n)^(-11/36) exp((3/4) C^(1/3) (2n)^(2/3)), half-weight oscillation
-    at τ = C^(1/3) (2n)^(-1/3). With doubled=True adds log 2, matching
-    the symmetric-polygon total ~ 2 N_[0,1/2](g); doubled is valid only
-    for this range.
+    CLOSED_0_HALF (1/2, 1, -(1/2) log 2, 3/4): prefactor
+    K^(1/2) C^(-7/36)/sqrt(6π), (2n)^(-11/36) exp((3/4) C^(1/3) (2n)^(2/3)),
+    plus 3τ/4 and half-weight oscillation at τ = C^(1/3) (2n)^(-1/3).
+    With doubled=True adds log(1 + e^(-τ)) = log 2 - τ/2 + O(τ²), the
+    factor (1 + x) of the symmetric-polygon counts (n = g in
+    :func:`npcount.counting.symmetric_count`); doubled is valid only for
+    this range.
     """
     if doubled and slope_range is not SlopeRange.CLOSED_0_HALF:
         raise ValueError("doubled only applies to the [0, 1/2] range")
     with ctx.working():
-        _, main, osc = _saddle(slope_range, n, zeros, k, ctx)
-        return ctx.round(main + osc + (mp.log(2) if doubled else 0))
+        tau, main, osc = _saddle(slope_range, n, zeros, ctx)
+        return ctx.round(main + osc + (mp.log(2) - tau / 2 if doubled else 0))
 
 
 # ---------------------------------------------------------------------------
@@ -209,21 +198,20 @@ def variant_estimate(slope_range: SlopeRange, n: int, zeros: Sequence[ZetaZero],
 @functools.lru_cache(maxsize=None)
 def _first_zero(bits: int) -> tuple[HPReal, HPComplex]:
     """(t1, c_γ1) for the first zero, refined at the given precision."""
-    return _zero_terms(bundled_zeros(), 1, PrecisionContext(bits))[0]
-
-
-def _first_zero_wave(x, ctx: PrecisionContext) -> HPComplex:
-    """E(x) = c_γ1 τ(x)^(-γ1) at τ(x) = (C/x)^(1/3), x > 0; call under ``ctx.working()``."""
-    xx = mp.mpf(x)
-    if not xx > 0:
-        raise ValueError("x must be positive")
-    return _zero_wave(mp.log(_tau(xx, 1, ctx)), *_first_zero(ctx.bits))
+    return _zero_terms(bundled_zeros()[:1], PrecisionContext(bits))[0]
 
 
 def wave_sample(x, ctx: PrecisionContext = PrecisionContext()) -> HPReal:
-    """First-zero wave y(x) = exp(2 Re E(x)) = exp(2 Re(c_γ1 C^(-γ1/3) x^(γ1/3))), x > 0."""
+    """First-zero wave y(x) = exp(2 Re(c_γ1 τ^(-γ1))) = exp(2 Re(c_γ1 C^(-γ1/3) x^(γ1/3))), x > 0.
+
+    τ = (C/x)^(1/3) is the [0, 1) saddle at height x, so y(n) = exp(osc(τ))
+    with the first zero alone.
+    """
     with ctx.working():
-        return ctx.round(mp.exp(2 * mp.re(_first_zero_wave(x, ctx))))
+        x = mp.mpf(x)
+        if not x > 0:
+            raise ValueError("x must be positive")
+        return ctx.round(mp.exp(_oscillation_at_tau(_tau(x, 1, ctx), [_first_zero(ctx.bits)])))
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +282,7 @@ def _logf_tau_floor(cutoff: HPReal, cap: int) -> str:
     return f"{float(mp.ceil(hi / step) * step):.3g}"
 
 
-def logf_expansion_check(tau, zeros: Sequence[ZetaZero] = (), k: int = 0,
+def logf_expansion_check(tau, zeros: Sequence[ZetaZero] = (),
                          ctx: PrecisionContext = PrecisionContext()) -> ExpansionCheck:
     """Compare log f(e^(-τ)) computed two ways, for 0 < τ <= 1.
 
@@ -343,7 +331,7 @@ def logf_expansion_check(tau, zeros: Sequence[ZetaZero] = (), k: int = 0,
                 f"direct sum at tau={mp.nstr(tau, 6)} needs more than {cap} terms; "
                 f"the smallest tau that fits at {ctx.bits} bits is "
                 f"{_logf_tau_floor(cutoff, cap)}")
-        terms = _zero_terms(zeros, k, ctx)
+        terms = _zero_terms(zeros, ctx)
 
         prec = ctx.bits + GUARD_BITS + 3 * n_max.bit_length() + 2
         with mp.workprec(prec + 8):

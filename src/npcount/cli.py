@@ -15,18 +15,11 @@ import sys
 
 import mpmath as mp
 
-from .asymptotics import (
-    DEFAULT_ZERO_COUNT,
-    TruncationError,
-    full_estimate,
-    logf_expansion_check,
-    wave_sample,
-)
+from .asymptotics import full_estimate, logf_expansion_check, wave_sample
 from .counting import SlopeRange, count_series, symmetric_count
 from .precision import DEFAULT_BITS, PrecisionContext
 from .rho import rho_recurrence_table
-from .special import PoleError
-from .zeros import NonConvergenceError, ZeroFileError, bundled_zeros, load_zeros, refine_catalog
+from .zeros import ZeroFileError, bundled_zeros, load_zeros, refine_catalog
 
 _RANGE_BY_NAME = {
     "half-open": SlopeRange.HALF_OPEN_01,
@@ -38,6 +31,10 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 EXIT_IO = 4
+
+#: Default ``--k-zeros``: the zeros summed in the oscillation of ``compare``
+#: and ``logf-check``.
+DEFAULT_ZERO_COUNT = 25
 
 # Input bounds, sized from measured cost on a 2-vCPU Xeon (Python 3.11,
 # mpmath on its pure-Python backend); a value over a bound is a usage error
@@ -62,13 +59,8 @@ MAX_WAVE_SAMPLES = 100_000
 MAX_BITS = 1024
 
 
-def _hp(value, digits: int) -> str:
-    """Format an mpf with the given number of significant digits."""
-    return mp.nstr(value, digits)
-
-
 def _catalog(args):
-    if getattr(args, "zero_file", None):
+    if args.zero_file:
         return load_zeros(args.zero_file)
     return bundled_zeros()
 
@@ -82,11 +74,11 @@ def _first_zeros(args):
 
 
 # ---------------------------------------------------------------------------
-# row producers (one per subcommand)
+# row producers (one per subcommand, each set as its parser's ``rows`` default)
 # ---------------------------------------------------------------------------
 
 
-def _rows_count(args):
+def _rows_count(args, ctx):
     if not 0 <= args.max <= MAX_COUNT_HEIGHT:
         raise UsageError(f"--max must be in [0, {MAX_COUNT_HEIGHT}], got {args.max}")
     if args.range == "symmetric":
@@ -99,7 +91,7 @@ def _rows_count(args):
     ]
 
 
-def _rows_rho(args):
+def _rows_rho(args, ctx):
     if not 0 <= args.max_height <= MAX_RHO_HEIGHT:
         raise UsageError(f"--max-height must be in [0, {MAX_RHO_HEIGHT}], got {args.max_height}")
     table = rho_recurrence_table(args.max_height)
@@ -121,13 +113,13 @@ def _rows_compare(args, ctx):
         for n in ns:
             exact = mp.mpf(series[n])
             log_exact = mp.log(exact)
-            est = full_estimate(n, zeros, args.k_zeros, ctx)
+            est = full_estimate(n, zeros, ctx)
             rows.append({
                 "n": n,
-                "log10_count": _hp(log_exact / ln10, args.digits),
-                "log10_leading": _hp(est.log_main / ln10, args.digits),
-                "log10_estimate": _hp(est.log_estimate / ln10, args.digits),
-                "residual_log": _hp(log_exact - est.log_main, args.digits),
+                "log10_count": mp.nstr(log_exact / ln10, args.digits),
+                "log10_leading": mp.nstr(est.log_main / ln10, args.digits),
+                "log10_estimate": mp.nstr(est.log_estimate / ln10, args.digits),
+                "residual_log": mp.nstr(log_exact - est.log_main, args.digits),
             })
     return ["n", "log10_count", "log10_leading", "log10_estimate", "residual_log"], rows
 
@@ -150,7 +142,7 @@ def _rows_wave(args, ctx):
             else:
                 x = lo * (hi / lo) ** (mp.mpf(i) / (args.samples - 1))
             y = wave_sample(x, ctx)
-            rows.append({"x": _hp(x, args.digits), "y": _hp(y, args.digits)})
+            rows.append({"x": mp.nstr(x, args.digits), "y": mp.nstr(y, args.digits)})
     return ["x", "y"], rows
 
 
@@ -159,7 +151,7 @@ def _rows_zeros(args, ctx):
     if args.action == "refine":
         zeros = refine_catalog(zeros, ctx)
     return ["index", "t"], [
-        {"index": i, "t": _hp(z.t, args.digits)} for i, z in enumerate(zeros, start=1)
+        {"index": i, "t": mp.nstr(z.t, args.digits)} for i, z in enumerate(zeros, start=1)
     ]
 
 
@@ -171,12 +163,12 @@ def _rows_logf(args, ctx):
     zeros = refine_catalog(_first_zeros(args), ctx)
     rows = []
     for tau in taus:
-        chk = logf_expansion_check(tau, zeros, args.k_zeros, ctx)
+        chk = logf_expansion_check(tau, zeros, ctx)
         rows.append({
-            "tau": _hp(chk.tau, args.digits),
-            "direct": _hp(chk.direct, args.digits),
-            "expansion": _hp(chk.expansion, args.digits),
-            "residual": _hp(chk.residual, args.digits),
+            "tau": mp.nstr(chk.tau, args.digits),
+            "direct": mp.nstr(chk.direct, args.digits),
+            "expansion": mp.nstr(chk.expansion, args.digits),
+            "residual": mp.nstr(chk.residual, args.digits),
         })
     return ["tau", "direct", "expansion", "residual"], rows
 
@@ -206,6 +198,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="significant digits for floating columns, at most the "
                              "ceil(bits log10 2) that --bits holds: 20 at 64 bits, 58 at 192 "
                              "(default %(default)s)")
+    catalog = argparse.ArgumentParser(add_help=False)
+    catalog.add_argument("--k-zeros", type=int, default=DEFAULT_ZERO_COUNT)
+    catalog.add_argument("--zero-file", default=None)
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -214,17 +209,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--range", choices=("half-open", "closed", "half", "symmetric"),
                    default="half-open")
     p.add_argument("--max", type=int, required=True, help="largest height (or genus)")
+    p.set_defaults(rows=_rows_count)
 
     p = sub.add_parser("rho", parents=[common],
                        help="triangular table of counts by (height, depth)")
     p.add_argument("--max-height", type=int, required=True)
+    p.set_defaults(rows=_rows_rho)
 
-    p = sub.add_parser("compare", parents=[common],
+    p = sub.add_parser("compare", parents=[common, catalog],
                        help="exact count vs asymptotic estimate at given heights")
     p.add_argument("-n", dest="n", type=int, action="append", required=True,
                    help="height to evaluate (repeatable)")
-    p.add_argument("--k-zeros", type=int, default=DEFAULT_ZERO_COUNT)
-    p.add_argument("--zero-file", default=None)
+    p.set_defaults(rows=_rows_compare)
 
     p = sub.add_parser("wave", parents=[common],
                        help="sample the first-zero oscillation wave")
@@ -233,19 +229,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--linear-x", action="store_true",
                    help="sample uniformly in x instead of log x")
+    p.set_defaults(rows=_rows_wave)
 
     p = sub.add_parser("zeros", parents=[common],
                        help="dump or refine a zeta-zero table")
     p.add_argument("action", choices=("dump", "refine"))
     p.add_argument("--zero-file", default=None,
                    help="zero table (default: bundled first 100 zeros)")
+    p.set_defaults(rows=_rows_zeros)
 
-    p = sub.add_parser("logf-check", parents=[common],
+    p = sub.add_parser("logf-check", parents=[common, catalog],
                        help="direct vs residue-expansion values of log f(e^-tau)")
     p.add_argument("--tau", action="append", required=True,
                    help="tau in (0, 1] (repeatable; parsed at full precision)")
-    p.add_argument("--k-zeros", type=int, default=DEFAULT_ZERO_COUNT)
-    p.add_argument("--zero-file", default=None)
+    p.set_defaults(rows=_rows_logf)
 
     return parser
 
@@ -264,10 +261,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        try:
-            ctx = PrecisionContext(args.bits)
-        except (TypeError, ValueError) as exc:
-            raise UsageError(str(exc)) from exc
+        ctx = PrecisionContext(args.bits)
         if args.bits > MAX_BITS:
             raise UsageError(f"--bits must be <= {MAX_BITS}, got {args.bits}")
         if args.digits < 1:
@@ -276,20 +270,7 @@ def main(argv=None) -> int:
         if args.digits > held:
             raise UsageError(f"--digits must be <= {held}, the digits {args.bits} bits hold, "
                              f"got {args.digits}")
-        if args.command == "count":
-            header, rows = _rows_count(args)
-        elif args.command == "rho":
-            header, rows = _rows_rho(args)
-        elif args.command == "compare":
-            header, rows = _rows_compare(args, ctx)
-        elif args.command == "wave":
-            header, rows = _rows_wave(args, ctx)
-        elif args.command == "zeros":
-            header, rows = _rows_zeros(args, ctx)
-        elif args.command == "logf-check":
-            header, rows = _rows_logf(args, ctx)
-        else:  # pragma: no cover
-            raise UsageError(f"unknown command {args.command!r}")
+        header, rows = args.rows(args, ctx)
         text = _emit(header, rows, args)
         if args.out:
             with open(args.out, "w", encoding="utf-8", newline="") as fh:
@@ -300,7 +281,7 @@ def main(argv=None) -> int:
     except (OSError, ZeroFileError) as exc:
         print(f"npcount: I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (NonConvergenceError, PoleError, TruncationError, ArithmeticError) as exc:
+    except ArithmeticError as exc:  # non-convergence, pole, truncation
         print(f"npcount: numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except ValueError as exc:

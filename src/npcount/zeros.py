@@ -14,7 +14,7 @@ full working precision.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import Iterable
@@ -44,15 +44,17 @@ class NonConvergenceError(ArithmeticError):
 
 @dataclass(frozen=True)
 class ZetaZero:
-    """A zero 1/2 + i t with t > 0; `refined` marks working-precision t.
+    """A zero 1/2 + i t with t > 0; `bits` is the precision t was refined at.
 
-    :func:`refine_catalog` is the only place where a zero is refined:
-    every consumer of t, the residue coefficients included, takes its
-    zeros through it.
+    A seed from a zero table has ``bits=None``. :func:`refine_catalog` is
+    the only place where a zero is refined: every consumer of t, the
+    residue coefficients included, takes its zeros through it, and it
+    refines again every zero whose `bits` differ from the working
+    precision, so a t refined at one precision is never used at another.
     """
 
     t: HPReal
-    refined: bool = False
+    bits: int | None = None
 
 
 def load_zeros(path) -> list[ZetaZero]:
@@ -86,7 +88,7 @@ def _parse_zero_table(text: str, origin: str) -> list[ZetaZero]:
             raise ZeroFileError(f"{origin}:{lineno}: t must be positive, got {line!r}")
         if prev is not None and not t > prev:
             raise ZeroFileError(f"{origin}:{lineno}: values must be strictly increasing")
-        zeros.append(ZetaZero(t=t, refined=False))
+        zeros.append(ZetaZero(t))
         prev = t
     return zeros
 
@@ -141,12 +143,6 @@ def refine_zero(t0, ctx: PrecisionContext = PrecisionContext()) -> HPReal:
 
 
 def refine_catalog(zeros: Iterable[ZetaZero], ctx: PrecisionContext = PrecisionContext()) -> list[ZetaZero]:
-    """Refine every unrefined zero; already-refined entries pass through."""
-    out = []
-    for z in zeros:
-        if z.refined:
-            out.append(z)
-        else:
-            out.append(replace(z, t=refine_zero(z.t, ctx), refined=True))
-    return out
+    """Refine every zero not refined at ctx.bits; zeros refined at ctx.bits pass through."""
+    return [z if z.bits == ctx.bits else ZetaZero(refine_zero(z.t, ctx), ctx.bits) for z in zeros]
 

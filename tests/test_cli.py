@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -30,6 +31,7 @@ from npcount.cli import (
     MAX_COUNT_HEIGHT,
     MAX_RHO_HEIGHT,
     MAX_WAVE_SAMPLES,
+    build_parser,
     main,
 )
 
@@ -137,9 +139,9 @@ class TestLogfCheck:
         monkeypatch.setattr(amod, "_DIRECT_SUM_MAX_TERMS", 1000)
         _, _, err = run(capsys, "logf-check", "--tau", "0.05", "--k-zeros", "0")
         floor = re.search(r"fits at 192 bits is (\S+)$", err.strip()).group(1)
-        assert logf_expansion_check(floor, (), 0, ctx).terms <= 1000
+        assert logf_expansion_check(floor, (), ctx).terms <= 1000
         with pytest.raises(TruncationError):
-            logf_expansion_check(float(floor) * 0.99, (), 0, ctx)
+            logf_expansion_check(float(floor) * 0.99, (), ctx)
 
 
 def csv_rows(text):
@@ -301,7 +303,7 @@ class TestKernelCommands:
         with ctx.working():
             ln10 = mp.log(10)
             for n in (10, 100):
-                est = full_estimate(n, zeros, 3, ctx)
+                est = full_estimate(n, zeros, ctx)
                 log_exact = mp.log(series[n])
                 want.append({
                     "n": str(n),
@@ -345,3 +347,25 @@ class TestKernelCommands:
         assert out == ""
         assert "npcount: I/O error" in err
         assert "Traceback" not in err
+
+
+def subcommands():
+    """name -> subparser, read from the parser that ``main`` dispatches through."""
+    action = next(a for a in build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+class TestSubcommandTable:
+    def test_every_subcommand_has_a_row_producer(self):
+        for name, parser in subcommands().items():
+            assert callable(parser.get_default("rows")), name
+
+    @pytest.mark.parametrize("name", sorted(subcommands()))
+    def test_help_exits_zero(self, capsys, name):
+        with pytest.raises(SystemExit) as exc:
+            main([name, "--help"])
+        out, err = capsys.readouterr()
+        assert exc.value.code == EXIT_OK
+        assert out.startswith(f"usage: npcount {name} ")
+        assert err == ""

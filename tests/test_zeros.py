@@ -24,7 +24,7 @@ class TestLoading:
         f.write_text("14.134725\n21.022040\n25.010858\n")
         zs = load_zeros(f)
         assert len(zs) == 3
-        assert all(not z.refined for z in zs)
+        assert all(z.bits is None for z in zs)
         assert float(zs[0].t) == pytest.approx(14.134725)
 
     def test_comments_and_blanks(self, tmp_path):
@@ -106,7 +106,7 @@ class TestRefinement:
 
     def test_catalog_refinement_marks_and_preserves_order(self, ctx):
         zs = refine_catalog(bundled_zeros()[:5], ctx)
-        assert all(z.refined for z in zs)
+        assert all(z.bits == ctx.bits for z in zs)
         assert all(a.t < b.t for a, b in zip(zs, zs[1:]))
         refined_again = refine_catalog(zs, ctx)
         assert refined_again == zs
