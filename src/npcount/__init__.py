@@ -4,8 +4,8 @@ Exact side: arbitrary-size-integer counts of polygons by height for the
 slope ranges [0, 1), [0, 1] and [0, 1/2], the symmetric-polygon counts,
 and the triangular (height, depth) table. Asymptotic side:
 :func:`full_estimate`, the saddle main term with the oscillatory
-corrections of the non-trivial zeta zeros as one breakdown, its variants
-for the other slope ranges, the first-zero wave and a check of the
+corrections of the non-trivial zeta zeros as one breakdown, for the
+family its ``slope_range`` argument names, the first-zero wave and a check of the
 Mellin expansion of log f, evaluated with high-precision Γ from mpmath,
 ζ and ζ′ in the critical strip from one fixed-point Borwein pass of its
 own and from mpmath elsewhere, behind pole-checked, conjugate-symmetric,
@@ -17,7 +17,6 @@ from .asymptotics import (
     TruncationError,
     full_estimate,
     logf_expansion_check,
-    variant_estimate,
     wave_sample,
 )
 from .counting import (
@@ -26,7 +25,6 @@ from .counting import (
     count_series,
     log_derivative_weights,
     segment_exponents,
-    symmetric_count,
     totient_sieve,
 )
 from .precision import DEFAULT_BITS, HPComplex, HPReal, PrecisionContext

@@ -1,4 +1,4 @@
-"""Asymptotic polygon counts: one saddle-point evaluator for every slope range.
+"""Asymptotic polygon counts: one saddle-point evaluator for every count family.
 
 For slopes in [0, 1) the generating function is F(x) = Π_m (1-x^m)^(-φ(m)),
 and f(τ) = F(e^(-τ)) has the Mellin expansion
@@ -7,22 +7,22 @@ and f(τ) = F(e^(-τ)) has the Mellin expansion
     osc(τ) = Σ_γ 2 Re(c_γ τ^(-γ)),   c_γ = Γ(γ) ζ(γ+1) ζ(γ-1) / ζ′(γ),
 
 one conjugate pair per non-trivial zeta zero γ = 1/2 + i t. The other
-ranges differ from [0, 1) only in the exponents e(m) of a few small m
-(:func:`npcount.counting.segment_exponents`), so each is a power of F
+families differ from [0, 1) only in the exponents e(m) at m = 1, 2
+(:data:`npcount.counting.EXPONENT_ROWS`), so each is a power of F
 times an elementary factor, and near τ = 0, as 1 - e^(-mτ) ~ mτ,
 
     log f_range(τ) = w log f(τ) - p log τ + c + q τ + O(τ²):
 
-    range     f_range                              (w, p, c, q)
-    [0, 1)    F                                    (1, 0, 0, 0)
-    [0, 1]    F / (1-x)                            (1, 1, 0, 1/2)
-    [0, 1/2]  F^(1/2) (1-x)^(-1/2) (1-x²)^(-1/2)    (1/2, 1, -(1/2) log 2, 3/4)
+    family     f_range                              (w, p, c, q)
+    [0, 1)     F                                    (1, 0, 0, 0)
+    [0, 1]     F / (1-x)                            (1, 1, 0, 1/2)
+    [0, 1/2]   F^(1/2) (1-x)^(-1/2) (1-x²)^(-1/2)    (1/2, 1, -(1/2) log 2, 3/4)
+    symmetric  F^(1/2) (1-x)^(-3/2) (1-x²)^(1/2)     (1/2, 1, (1/2) log 2, 1/4)
 
 As 1 - e^(-mτ) = mτ e^(-mτ/2) (1 + O(τ²)), a factor (1 - x^m)^(-d)
-adds -d log τ - d log m + d m τ / 2: [0, 1] has e(1) = 2 where
-φ(1) = 1, and [0, 1/2] has e(m) = φ(m)/2 for m >= 3 but e(1) = e(2) = 1
-where φ(m)/2 = 1/2. So p = Σ d_m, c = -Σ d_m log m and q = Σ d_m m / 2
-over the excess d_m = e(m) - w φ(m).
+adds -d log τ - d log m + d m τ / 2. So p = Σ d_m, c = -Σ d_m log m and
+q = Σ d_m m / 2 over the excess d_m = e(m) - w φ(m) at m = 1, 2
+(:func:`_saddle_row`).
 
 The saddle point of f_range(τ) e^(nτ) sits where n = w C τ^(-3), at
 τ = (wC/n)^(1/3), and the Gaussian factor there, 1/sqrt(2π · 3wC τ^(-4)),
@@ -36,9 +36,9 @@ For [0, 1) this is log P(n) + osc(τ) with
     P(n) = (C^(1/9) K / sqrt(6π)) n^(-11/18) exp((3/2) C^(1/3) n^(2/3)).
 
 All estimates are carried in natural-log scale. :func:`full_estimate` is
-the public view of the [0, 1) estimate: its :class:`AsymptoticBreakdown`
-carries τ, the main term log P(n) and osc(τ) side by side. Zero sums
-run over the zeros the caller passes — the amplitudes |c_γ|
+the public view of every family's estimate: its :class:`AsymptoticBreakdown`
+carries τ, the main term (log P(n) for [0, 1)) and w osc(τ) side by side.
+Zero sums run over the zeros the caller passes — the amplitudes |c_γ|
 fall off exponentially in t, like e^(-πt/2) times a slowly growing
 factor (|c_γ| e^(πt/2) is 2.1 at t = 14.1, 5.9 at 49.8 and 28 at 236.5),
 so the truncation tail is bounded by the triangle inequality
@@ -52,19 +52,10 @@ from typing import Sequence
 
 import mpmath as mp
 
-from .counting import SlopeRange, log_derivative_weights, segment_exponents
+from .counting import EXPONENT_ROWS, SlopeRange, log_derivative_weights, segment_exponents
 from .precision import GUARD_BITS, HPComplex, HPReal, PrecisionContext
 from .special import complex_gamma, complex_zeta, constant_C, constant_K, zeta_derivative
 from .zeros import ZetaZero, bundled_zeros, refine_catalog
-
-#: (w, p, c / log 2, q) per slope range:
-#: log f_range(τ) = w log f(τ) - p log τ + c + q τ + O(τ²).
-_SADDLE_ROWS = {
-    SlopeRange.HALF_OPEN_01: (1, 0, 0, 0),
-    SlopeRange.CLOSED_01: (1, 1, 0, 0.5),
-    SlopeRange.CLOSED_0_HALF: (0.5, 1, -0.5, 0.75),
-}
-
 
 class TruncationError(ArithmeticError):
     """A series failed to reach its truncation threshold."""
@@ -132,62 +123,41 @@ def _tau(x, w, ctx: PrecisionContext) -> HPReal:
     return mp.cbrt(w * constant_C(ctx) / x)
 
 
-def _saddle(slope_range: SlopeRange, n: int, zeros: Sequence[ZetaZero],
-            ctx: PrecisionContext) -> tuple[HPReal, HPReal, HPReal]:
-    """(τ, main term, w osc(τ)) for the height-n count, unrounded, at the current precision.
+def _saddle_row(slope_range: SlopeRange) -> tuple[float, float, float, float]:
+    """(w, p, c / log 2, q) with log f_range(τ) = w log f(τ) - p log τ + c + q τ + O(τ²).
 
-    Call under ``ctx.working()``; the row (w, p, c, q) of ``_SADDLE_ROWS``
-    enters the closed form of the module docstring.
+    Read off the excess d_m = e(m) - w φ(m) at m = 1, 2, where φ(m) = 1:
+    p = d_1 + d_2, c = -d_2 log 2 (log 1 = 0) and q = (d_1 + 2 d_2) / 2.
+    Every entry is a multiple of 1/4, so the floats are exact.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    terms = _zero_terms(zeros, ctx)
-    w, p, c_log2, q = _SADDLE_ROWS[slope_range]
-    C = constant_C(ctx)
-    tau = _tau(n, w, ctx)
-    main = (mp.mpf(3) / 2 * n * tau + w * mp.log(constant_K(ctx)) + c_log2 * mp.log(2)
-            - mp.log(6 * mp.pi * w * C) / 2 + (12 - w - 6 * p) / mp.mpf(6) * mp.log(tau)
-            + q * tau)
-    return tau, main, w * _oscillation_at_tau(tau, terms)
+    w, e1, e2 = EXPONENT_ROWS[slope_range]
+    d1, d2 = e1 - w, e2 - w
+    return float(w), float(d1 + d2), float(-d2), float((d1 + 2 * d2) / 2)
 
 
 def full_estimate(n: int, zeros: Sequence[ZetaZero],
-                  ctx: PrecisionContext = PrecisionContext()) -> AsymptoticBreakdown:
-    """Main term plus the oscillation of the given zeros: τ, log P(n) and osc(τ) as one breakdown."""
+                  ctx: PrecisionContext = PrecisionContext(),
+                  slope_range: SlopeRange = SlopeRange.HALF_OPEN_01) -> AsymptoticBreakdown:
+    """Main term plus the oscillation of the given zeros for one family's height-n count.
+
+    ``slope_range`` picks the row (w, p, c, q) of the module docstring's
+    table, and the breakdown carries τ = (wC/n)^(1/3), the closed form's
+    main term and w osc(τ). The default, [0, 1), has main term log P(n);
+    the symmetric counts take n = g, the genus.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
     with ctx.working():
-        tau, main, osc = _saddle(SlopeRange.HALF_OPEN_01, n, zeros, ctx)
+        terms = _zero_terms(zeros, ctx)
+        w, p, c_log2, q = _saddle_row(slope_range)
+        C = constant_C(ctx)
+        tau = _tau(n, w, ctx)
+        main = (mp.mpf(3) / 2 * n * tau + w * mp.log(constant_K(ctx)) + c_log2 * mp.log(2)
+                - mp.log(6 * mp.pi * w * C) / 2 + (12 - w - 6 * p) / mp.mpf(6) * mp.log(tau)
+                + q * tau)
+        osc = w * _oscillation_at_tau(tau, terms)
         return AsymptoticBreakdown(tau=ctx.round(tau), log_main=ctx.round(main),
                                    oscillation=ctx.round(osc), ctx=ctx)
-
-
-def variant_estimate(slope_range: SlopeRange, n: int, zeros: Sequence[ZetaZero],
-                     ctx: PrecisionContext = PrecisionContext(),
-                     doubled: bool = False) -> HPReal:
-    """log-scale closed-form estimate of the height-n count with slopes in a range.
-
-    With τ = (wC/n)^(1/3) and the module docstring's row (w, p, c, q),
-    read off the products F, F/(1-x) and F^(1/2) (1-x)^(-1/2) (1-x²)^(-1/2),
-    the estimate is (3/2) n τ + w log K + c - (1/2) log(6π w C)
-    + (2 - w/6 - p) log τ + q τ + w osc(τ):
-
-    HALF_OPEN_01 (1, 0, 0, 0): ``full_estimate(n, ...).log_estimate``.
-
-    CLOSED_01 (1, 1, 0, 1/2): prefactor K C^(-2/9)/sqrt(6π), exponent
-    n^(-5/18), the same saddle τ plus τ/2 and full-weight oscillation.
-
-    CLOSED_0_HALF (1/2, 1, -(1/2) log 2, 3/4): prefactor
-    K^(1/2) C^(-7/36)/sqrt(6π), (2n)^(-11/36) exp((3/4) C^(1/3) (2n)^(2/3)),
-    plus 3τ/4 and half-weight oscillation at τ = C^(1/3) (2n)^(-1/3).
-    With doubled=True adds log(1 + e^(-τ)) = log 2 - τ/2 + O(τ²), the
-    factor (1 + x) of the symmetric-polygon counts (n = g in
-    :func:`npcount.counting.symmetric_count`); doubled is valid only for
-    this range.
-    """
-    if doubled and slope_range is not SlopeRange.CLOSED_0_HALF:
-        raise ValueError("doubled only applies to the [0, 1/2] range")
-    with ctx.working():
-        tau, main, osc = _saddle(slope_range, n, zeros, ctx)
-        return ctx.round(main + osc + (mp.log(2) - tau / 2 if doubled else 0))
 
 
 # ---------------------------------------------------------------------------

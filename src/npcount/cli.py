@@ -16,16 +16,10 @@ import sys
 import mpmath as mp
 
 from .asymptotics import full_estimate, logf_expansion_check, wave_sample
-from .counting import SlopeRange, count_series, symmetric_count
+from .counting import SlopeRange, count_series
 from .precision import DEFAULT_BITS, PrecisionContext
 from .rho import rho_recurrence_table
 from .zeros import ZeroFileError, bundled_zeros, load_zeros, refine_catalog
-
-_RANGE_BY_NAME = {
-    "half-open": SlopeRange.HALF_OPEN_01,
-    "closed": SlopeRange.CLOSED_01,
-    "half": SlopeRange.CLOSED_0_HALF,
-}
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -81,13 +75,9 @@ def _first_zeros(args):
 def _rows_count(args, ctx):
     if not 0 <= args.max <= MAX_COUNT_HEIGHT:
         raise UsageError(f"--max must be in [0, {MAX_COUNT_HEIGHT}], got {args.max}")
-    if args.range == "symmetric":
-        return ["n", "count"], [
-            {"n": g, "count": str(v)} for g, v in enumerate(symmetric_count(args.max))
-        ]
-    series = count_series(_RANGE_BY_NAME[args.range], args.max)
+    series = count_series(SlopeRange(args.range), args.max)
     return ["n", "count"], [
-        {"n": n, "count": str(series[n])} for n in range(args.max + 1)
+        {"n": n, "count": str(v)} for n, v in enumerate(series.values)
     ]
 
 
@@ -206,8 +196,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("count", parents=[common],
                        help="exact counts by height for a slope range")
-    p.add_argument("--range", choices=("half-open", "closed", "half", "symmetric"),
-                   default="half-open")
+    p.add_argument("--range", choices=[r.value for r in SlopeRange], default="half-open",
+                   help="slope range, or symmetric: polygons of height 2g counted by "
+                        "genus g (default %(default)s)")
     p.add_argument("--max", type=int, required=True, help="largest height (or genus)")
     p.set_defaults(rows=_rows_count)
 

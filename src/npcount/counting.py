@@ -1,10 +1,12 @@
-"""Exact counting sequences for the three supported slope ranges.
+"""Exact counting sequences for the four count families.
 
 The count of height-n polygons with slopes in a range I is the x^n
 coefficient of the product over admissible segment runs m of
 (1 - x^m)^(-e(m)), where e(m) is the number of admissible slopes with
-denominator m. Coefficients are extracted with the log-derivative
-(Euler-transform) recurrence
+denominator m. The symmetric polygons are counted by a product of the
+same form, so :data:`EXPONENT_ROWS`, one row of exponents per family, is
+all that tells the families apart. Coefficients are extracted with the
+log-derivative (Euler-transform) recurrence
 
     n * a(n) = sum_{k=1..n} b(k) * a(n-k),   b(k) = sum_{d|k} d * e(d),
 
@@ -37,16 +39,30 @@ from __future__ import annotations
 import decimal
 import enum
 from dataclasses import dataclass
+from fractions import Fraction
 from operator import mul
 from typing import Sequence
 
 
 class SlopeRange(enum.Enum):
-    """The three supported slope intervals."""
+    """The count families: three slope intervals and the symmetric polygons."""
 
     HALF_OPEN_01 = "half-open"   # [0, 1)
     CLOSED_01 = "closed"         # [0, 1]
     CLOSED_0_HALF = "half"       # [0, 1/2]
+    SYMMETRIC = "symmetric"      # symmetric polygons of height 2g, counted at x^g
+
+
+#: (w, e(1), e(2)) per family, where e(m) = w φ(m) for m >= 3. [0, 1] adds
+#: the slope-1 segment; in [0, 1/2] coprime residues pair n ↔ m-n. A symmetric
+#: polygon pairs every slope s with 1-s, alone ([0, 1/2] at g) or around a
+#: central (2, 1) segment (at g-1): (1 + x) F_[0,1/2] = F_[0,1/2] (1 - x²)/(1 - x).
+EXPONENT_ROWS = {
+    SlopeRange.HALF_OPEN_01: (Fraction(1), 1, 1),
+    SlopeRange.CLOSED_01: (Fraction(1), 2, 1),
+    SlopeRange.CLOSED_0_HALF: (Fraction(1, 2), 1, 1),
+    SlopeRange.SYMMETRIC: (Fraction(1, 2), 2, 0),
+}
 
 
 def totient_sieve(limit: int) -> list[int]:
@@ -63,36 +79,23 @@ def totient_sieve(limit: int) -> list[int]:
 
 
 def segment_exponents(slope_range: SlopeRange, limit: int) -> list[int]:
-    """e(m) = #{n : n/m in range, gcd(m, n) = 1} for m = 1..limit.
+    """e(m) for m = 1..limit from the family's row of :data:`EXPONENT_ROWS`; index 0 is 0.
 
-    [0,1):   e(m) = φ(m)
-    [0,1]:   e(1) = 2 (the extra slope-1 segment), else φ(m)
-    [0,1/2]: e(1) = e(2) = 1, else φ(m)/2 (coprime residues pair n ↔ m-n)
+    For a slope range, e(m) = #{n : n/m in range, gcd(m, n) = 1}. φ(m) is
+    even for m >= 3, so halving it with ``//`` is exact.
     """
     if limit < 1:
         raise ValueError("limit must be >= 1")
-    phi = totient_sieve(limit)
-    if slope_range is SlopeRange.HALF_OPEN_01:
-        e = phi[:]
-    elif slope_range is SlopeRange.CLOSED_01:
-        e = phi[:]
-        e[1] = 2
-    elif slope_range is SlopeRange.CLOSED_0_HALF:
-        e = [0] * (limit + 1)
-        e[1] = 1
-        if limit >= 2:
-            e[2] = 1
-        for m in range(3, limit + 1):
-            e[m] = phi[m] // 2
-    else:  # pragma: no cover
-        raise ValueError(f"unknown slope range {slope_range!r}")
-    e[0] = 0
+    w, e1, e2 = EXPONENT_ROWS[slope_range]
+    num, den = w.numerator, w.denominator
+    e = [v * num // den for v in totient_sieve(limit)]
+    e[1:3] = (e1, e2)[:limit]
     return e
 
 
 @dataclass(frozen=True)
 class CountSeries:
-    """Exact counts a(0..limit) of polygons by height, for one slope range."""
+    """Exact counts a(0..limit) of one family, by height (by genus g for the symmetric counts)."""
 
     slope_range: SlopeRange
     limit: int
@@ -197,7 +200,7 @@ def series_from_exponents(e: Sequence[int], limit: int) -> list[int]:
 
 
 def count_series(slope_range: SlopeRange, limit: int) -> CountSeries:
-    """Exact polygon counts a(0..limit) for the given slope range."""
+    """Exact counts a(0..limit) for the given family."""
     if limit < 0:
         raise ValueError("limit must be >= 0")
     if limit == 0:
@@ -205,18 +208,3 @@ def count_series(slope_range: SlopeRange, limit: int) -> CountSeries:
     e = segment_exponents(slope_range, limit)
     return CountSeries(slope_range, limit, tuple(series_from_exponents(e, limit)))
 
-
-def symmetric_count(gmax: int) -> list[int]:
-    """Counts of symmetric polygons of height 2g for g = 0..gmax.
-
-    A symmetric polygon either pairs every slope s with 1-s (counted by
-    the [0,1/2] series at g) or does so around a central (2,1) segment
-    (counted at g-1); index 0 is the empty polygon.
-    """
-    if gmax < 0:
-        raise ValueError("gmax must be >= 0")
-    half = count_series(SlopeRange.CLOSED_0_HALF, gmax)
-    out = [1]
-    for g in range(1, gmax + 1):
-        out.append(half[g] + half[g - 1])
-    return out

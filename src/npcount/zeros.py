@@ -143,6 +143,19 @@ def refine_zero(t0, ctx: PrecisionContext = PrecisionContext()) -> HPReal:
 
 
 def refine_catalog(zeros: Iterable[ZetaZero], ctx: PrecisionContext = PrecisionContext()) -> list[ZetaZero]:
-    """Refine every zero not refined at ctx.bits; zeros refined at ctx.bits pass through."""
-    return [z if z.bits == ctx.bits else ZetaZero(refine_zero(z.t, ctx), ctx.bits) for z in zeros]
+    """Refine every zero not refined at ctx.bits; zeros refined at ctx.bits pass through.
+
+    Refined t that are not strictly increasing (two seeds Newton took to one
+    zero, whose oscillation would count twice, or out of order) raise
+    :class:`NonConvergenceError` naming both seeds and the t they reached.
+    """
+    seeds = list(zeros)
+    out = [z if z.bits == ctx.bits else ZetaZero(refine_zero(z.t, ctx), ctx.bits) for z in seeds]
+    for i in range(1, len(out)):
+        if not out[i - 1].t < out[i].t:
+            raise NonConvergenceError(
+                f"zero seeds t0={mp.nstr(seeds[i - 1].t, 12)} and t0={mp.nstr(seeds[i].t, 12)} "
+                f"refine to t={mp.nstr(out[i - 1].t, 15)} and t={mp.nstr(out[i].t, 15)}; "
+                "refined zeros must be strictly increasing")
+    return out
 

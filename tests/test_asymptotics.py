@@ -13,9 +13,7 @@ from npcount import (
     full_estimate,
     logf_expansion_check,
     segment_exponents,
-    symmetric_count,
     totient_sieve,
-    variant_estimate,
     wave_sample,
 )
 import npcount.asymptotics as amod
@@ -45,23 +43,23 @@ def triangle_bound(zeros, start, stop, tau, bits):
 #: Heights of the absolute checks of the closed forms and the bound on |log a(n) - estimate|.
 VARIANT_GAPS = {100: mp.mpf("1e-2"), 1000: mp.mpf("2e-3"), 10_000: mp.mpf("5e-4")}
 
-#: (slope range, doubled) of every closed form: the three ranges and the symmetric counts.
-VARIANTS = [(r, False) for r in SlopeRange] + [(SlopeRange.CLOSED_0_HALF, True)]
+#: Every count family of the closed form.
+VARIANTS = list(SlopeRange)
 
 
 @pytest.fixture(scope="module")
 def exact_counts(series_half_10k, series_halfrange_10k):
-    """(slope range, doubled) -> exact counts at heights 0..10^4, from the shared series.
+    """family -> exact counts at heights 0..10^4, from the shared series.
 
     [0, 1]: prefix sums of the [0, 1) counts, as F/(1-x) = Σ_n (Σ_{k<=n} a(k)) x^n.
     Symmetric: half(g) + half(g-1) at genus g, the coefficients of (1 + x) F_[0,1/2].
     """
     half = series_halfrange_10k.values
     return {
-        (SlopeRange.HALF_OPEN_01, False): series_half_10k.values,
-        (SlopeRange.CLOSED_01, False): list(itertools.accumulate(series_half_10k.values)),
-        (SlopeRange.CLOSED_0_HALF, False): half,
-        (SlopeRange.CLOSED_0_HALF, True): [1] + [a + b for a, b in zip(half[1:], half)],
+        SlopeRange.HALF_OPEN_01: series_half_10k.values,
+        SlopeRange.CLOSED_01: list(itertools.accumulate(series_half_10k.values)),
+        SlopeRange.CLOSED_0_HALF: half,
+        SlopeRange.SYMMETRIC: [1] + [a + b for a, b in zip(half[1:], half)],
     }
 
 
@@ -175,70 +173,55 @@ class TestFullEstimate:
 
 
 class TestVariants:
-    def test_closed_within_5_percent_at_100(self, ctx, zeros25, series_half_10k):
-        with ctx.working():
-            exact = mp.log(mp.mpf(sum(series_half_10k[i] for i in range(101))))
-            est = variant_estimate(SlopeRange.CLOSED_01, 100, (), ctx)
-        assert abs(est - exact) <= mp.mpf("0.05") * abs(exact)
-
-    def test_symmetric_within_5_percent_at_100(self, ctx, zeros25, series_halfrange_10k):
-        with ctx.working():
-            exact = mp.log(mp.mpf(series_halfrange_10k[100]))
-            est = variant_estimate(SlopeRange.CLOSED_0_HALF, 100, (), ctx)
-        assert abs(est - exact) <= mp.mpf("0.05") * abs(exact)
-
     def test_log_relative_error_shrinks_by_decade(self, ctx, exact_counts):
         with ctx.working():
-            for variant in SlopeRange:
+            for variant in VARIANTS:
                 errs = []
                 for n in (100, 1000, 10_000):
-                    exact = mp.log(mp.mpf(exact_counts[variant, False][n]))
-                    est = variant_estimate(variant, n, (), ctx)
+                    exact = mp.log(mp.mpf(exact_counts[variant][n]))
+                    est = full_estimate(n, (), ctx, variant).log_estimate
                     errs.append(abs(est - exact) / abs(exact))
                 assert errs[0] > errs[1] > errs[2], variant
 
     def test_exact_counts_are_the_library_counts(self, exact_counts):
-        assert exact_counts[SlopeRange.CLOSED_01, False][:301] == \
-            list(count_series(SlopeRange.CLOSED_01, 300).values)
-        assert exact_counts[SlopeRange.CLOSED_0_HALF, True][:301] == symmetric_count(300)
+        for variant in (SlopeRange.CLOSED_01, SlopeRange.SYMMETRIC):
+            assert exact_counts[variant][:301] == list(count_series(variant, 300).values), variant
 
-    @pytest.mark.parametrize("slope_range,doubled", VARIANTS)
-    def test_absolute_gap(self, exact_counts, slope_range, doubled):
+    @pytest.mark.parametrize("slope_range", VARIANTS)
+    def test_absolute_gap(self, exact_counts, slope_range):
         # c off by (1/2) log 2, or q τ dropped, moves the gap well past these bounds
         bctx = PrecisionContext(128)
         with bctx.working():
             for n, bound in VARIANT_GAPS.items():
-                exact = mp.log(mp.mpf(exact_counts[slope_range, doubled][n]))
-                est = variant_estimate(slope_range, n, (), bctx, doubled=doubled)
+                exact = mp.log(mp.mpf(exact_counts[slope_range][n]))
+                est = full_estimate(n, (), bctx, slope_range).log_estimate
                 assert abs(exact - est) <= bound, n
 
     def test_doubling_flag(self, ctx, zeros25):
-        # doubled adds log(1 + e^(-τ)) = log 2 - τ/2 + O(τ²) at τ = (C/(2n))^(1/3)
+        # the symmetric counts' factor (1 + x) adds log(1 + e^(-τ)) = log 2 - τ/2 + O(τ²)
+        # to the [0, 1/2] estimate at the same τ = (C/(2n))^(1/3)
         with ctx.working():
-            single = variant_estimate(SlopeRange.CLOSED_0_HALF, 42, zeros25[:2], ctx)
-            double = variant_estimate(SlopeRange.CLOSED_0_HALF, 42, zeros25[:2], ctx, doubled=True)
+            single = full_estimate(42, zeros25[:2], ctx, SlopeRange.CLOSED_0_HALF).log_estimate
+            double = full_estimate(42, zeros25[:2], ctx, SlopeRange.SYMMETRIC).log_estimate
             tau = mp.cbrt(constant_C(ctx) / 84)
             assert rel(double - single, mp.log(2) - tau / 2) < mp.mpf(2) ** (32 - ctx.bits)
-        with pytest.raises(ValueError):
-            variant_estimate(SlopeRange.CLOSED_01, 42, zeros25[:2], ctx, doubled=True)
 
-    @pytest.mark.parametrize("bits", [64, 192, 512])
-    def test_half_open_is_full_estimate(self, first25, bits):
-        bctx = PrecisionContext(bits)
-        zeros = first25(bits)
-        for n in (1, 7, 100, 1000, 100_000):
-            for k in (0, 5):
-                est = variant_estimate(SlopeRange.HALF_OPEN_01, n, zeros[:k], bctx)
-                want = full_estimate(n, zeros[:k], bctx).log_estimate
-                with mp.workprec(bits + 64):
-                    assert abs(est - want) <= mp.mpf(2) ** (8 - bits) * abs(want), (n, k)
+    #: (w, p, c / log 2, q) of the module docstring's table.
+    DOCSTRING_ROWS = {
+        SlopeRange.HALF_OPEN_01: (1, 0, 0, 0),
+        SlopeRange.CLOSED_01: (1, 1, 0, 0.5),
+        SlopeRange.CLOSED_0_HALF: (0.5, 1, -0.5, 0.75),
+        SlopeRange.SYMMETRIC: (0.5, 1, 0.5, 0.25),
+    }
 
-    @pytest.mark.parametrize("slope_range", list(SlopeRange))
+    @pytest.mark.parametrize("slope_range", VARIANTS)
     def test_saddle_row_matches_segment_exponents(self, slope_range):
         # e(m) = w φ(m) for m >= 3; the excess d_m = e(m) - w φ(m) at m = 1, 2
         # is a factor (1 - x^m)^(-d_m) ~ (mτ)^(-d_m) e^(d_m m τ / 2), so
         # p = Σ d_m, c = -Σ d_m log m and q = Σ d_m m / 2
-        w, p, c_log2, q = amod._SADDLE_ROWS[slope_range]
+        row = amod._saddle_row(slope_range)
+        assert row == self.DOCSTRING_ROWS[slope_range]
+        w, p, c_log2, q = row
         e = segment_exponents(slope_range, 200)
         phi = totient_sieve(200)
         assert all(e[m] == w * phi[m] for m in range(3, 201))

@@ -18,7 +18,6 @@ from npcount import (
     logf_expansion_check,
     refine_catalog,
     rho_recurrence_table,
-    symmetric_count,
     wave_sample,
 )
 from npcount.asymptotics import TruncationError
@@ -157,23 +156,14 @@ class TestCount:
         assert first[0] == EXIT_OK
         assert first == second
 
-    @pytest.mark.parametrize("name,slope_range", [("half-open", SlopeRange.HALF_OPEN_01),
-                                                  ("closed", SlopeRange.CLOSED_01),
-                                                  ("half", SlopeRange.CLOSED_0_HALF)])
-    def test_rows_equal_library_values(self, capsys, name, slope_range):
-        code, out, _ = run(capsys, "count", "--max", "60", "--range", name)
-        assert code == EXIT_OK
-        rows = csv_rows(out)
-        assert [(int(r["n"]), int(r["count"])) for r in rows] == \
-            list(enumerate(count_series(slope_range, 60).values))
-
-    def test_symmetric_range(self, capsys):
-        code, out, _ = run(capsys, "count", "--max", "30", "--range", "symmetric")
-        assert code == EXIT_OK
-        assert [int(r["count"]) for r in csv_rows(out)] == symmetric_count(30)
-        code, out, _ = run(capsys, "count", "--max", "0", "--range", "symmetric")
-        assert code == EXIT_OK
-        assert csv_rows(out) == [{"n": "0", "count": "1"}]
+    @pytest.mark.parametrize("slope_range", list(SlopeRange), ids=lambda r: f"{r.value}-{r}")
+    def test_rows_equal_library_values(self, capsys, slope_range):
+        for limit in (60, 0):
+            code, out, _ = run(capsys, "count", "--max", str(limit), "--range", slope_range.value)
+            assert code == EXIT_OK
+            rows = csv_rows(out)
+            assert [(int(r["n"]), int(r["count"])) for r in rows] == \
+                list(enumerate(count_series(slope_range, limit).values))
 
     def test_rho_rows_equal_library_table(self, capsys):
         code, out, _ = run(capsys, "rho", "--max-height", "25")
@@ -200,7 +190,6 @@ class TestBounds:
         def forbidden(*args, **kwargs):
             raise AssertionError("work started before the bound was checked")
         monkeypatch.setattr("npcount.cli.count_series", forbidden)
-        monkeypatch.setattr("npcount.cli.symmetric_count", forbidden)
         monkeypatch.setattr("npcount.cli.rho_recurrence_table", forbidden)
         monkeypatch.setattr("npcount.cli.wave_sample", forbidden)
         code, out, err = run(capsys, *argv)
@@ -333,6 +322,18 @@ class TestKernelCommands:
         assert code == EXIT_NUMERIC
         assert out == ""
         assert "npcount: numeric failure" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", [("zeros", "refine"),
+                                         ("compare", "-n", "1000", "--k-zeros", "2")])
+    def test_two_seeds_of_one_zero_is_numeric_failure(self, capsys, tmp_path, command):
+        # both seeds converge to t1, whose oscillation compare would otherwise sum twice
+        path = tmp_path / "zeros.txt"
+        path.write_text("14.13\n14.14\n")
+        code, out, err = run(capsys, *command, "--zero-file", str(path))
+        assert code == EXIT_NUMERIC
+        assert out == ""
+        assert "t0=14.13 and t0=14.14 refine to t=14.1347251417347 and t=14.1347251417347" in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("text", ["abc\n", "14.13\n-2\n", "21.02\n14.13\n",

@@ -10,7 +10,6 @@ from npcount import (
     count_series,
     log_derivative_weights,
     segment_exponents,
-    symmetric_count,
     totient_sieve,
 )
 from npcount.counting import _BASE_BLOCK, _series_from_weights, series_from_exponents
@@ -54,6 +53,11 @@ class TestSegmentExponents:
     def test_half_range_small(self):
         e = segment_exponents(SlopeRange.CLOSED_0_HALF, 4)
         assert e[1:] == [1, 1, 1, 1]
+
+    @pytest.mark.parametrize("limit,head", [(1, [2]), (2, [2, 0]), (6, [2, 0, 1, 1, 2, 1])])
+    def test_symmetric_is_one_plus_x_times_half_range(self, limit, head):
+        # (1 + x) = (1 - x²)/(1 - x): one more factor at m = 1, one fewer at m = 2
+        assert segment_exponents(SlopeRange.SYMMETRIC, limit) == [0] + head
 
     @pytest.mark.parametrize("slope_range,num_ok", [
         (SlopeRange.HALF_OPEN_01, lambda n, m: n < m),
@@ -194,20 +198,20 @@ class TestLogDerivativeWeights:
 
 class TestSymmetric:
     def test_small_values(self):
-        assert symmetric_count(8)[1:] == list(golden.SYMMETRIC_COUNTS)
+        assert count_series(SlopeRange.SYMMETRIC, 8).values[1:] == golden.SYMMETRIC_COUNTS
 
     def test_half_range_at_zero(self):
         assert count_series(SlopeRange.CLOSED_0_HALF, 0)[0] == 1
         assert count_series(SlopeRange.CLOSED_0_HALF, 8).values == golden.HALF_RANGE_COUNTS
 
     def test_against_bruteforce_enumeration(self):
-        sym = symmetric_count(5)
+        sym = count_series(SlopeRange.SYMMETRIC, 5)
         for g in range(1, 6):
             assert sym[g] == oracles.symmetric_polygons_bruteforce(g)
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
-            symmetric_count(-1)
+            count_series(SlopeRange.SYMMETRIC, -1)
 
     def test_genus_zero_is_the_empty_polygon(self):
-        assert symmetric_count(0) == [1]
+        assert count_series(SlopeRange.SYMMETRIC, 0).values == (1,)

@@ -8,7 +8,6 @@ PACKAGE = Path(npcount.__file__).parent
 
 #: Exported names that nothing in the package calls yet, each with its reason.
 NOT_YET_CALLED = {
-    "variant_estimate": "the [0, 1] and [0, 1/2] estimates; `compare --range` is to call it",
     "bernoulli_even": "ζ(1-2m) = -B_2m/2m for the trivial-zero poles of the log f expansion",
 }
 

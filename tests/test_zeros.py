@@ -7,6 +7,7 @@ from npcount import (
     NonConvergenceError,
     PrecisionContext,
     ZeroFileError,
+    ZetaZero,
     bundled_zeros,
     load_zeros,
     refine_catalog,
@@ -110,6 +111,18 @@ class TestRefinement:
         assert all(a.t < b.t for a, b in zip(zs, zs[1:]))
         refined_again = refine_catalog(zs, ctx)
         assert refined_again == zs
+
+    def test_two_seeds_of_one_zero_are_rejected(self):
+        # 14.13 and 14.14 both converge to t1: summed, its oscillation would count twice
+        seeds = [ZetaZero(mp.mpf("14.13")), ZetaZero(mp.mpf("14.14"))]
+        with pytest.raises(NonConvergenceError, match=r"t0=14\.13 and t0=14\.14 refine to "
+                                                      r"t=14\.1347251417347 and t=14\.1347251417347"):
+            refine_catalog(seeds, PrecisionContext(64))
+
+    def test_refined_zeros_out_of_order_are_rejected(self, first25):
+        z1, z2 = first25(64)[:2]
+        with pytest.raises(NonConvergenceError, match="strictly increasing"):
+            refine_catalog([z2, z1], PrecisionContext(64))
 
 
 class TestLadder:
