@@ -24,8 +24,6 @@ from .counting import (
     SlopeRange,
     count_series,
     log_derivative_weights,
-    segment_exponents,
-    totient_sieve,
 )
 from .precision import DEFAULT_BITS, HPComplex, HPReal, PrecisionContext
 from .rho import RhoTable, rho_recurrence_table

@@ -52,7 +52,7 @@ from typing import Sequence
 
 import mpmath as mp
 
-from .counting import EXPONENT_ROWS, SlopeRange, log_derivative_weights, segment_exponents
+from .counting import EXPONENT_ROWS, SlopeRange, log_derivative_weights
 from .precision import GUARD_BITS, HPComplex, HPReal, PrecisionContext
 from .special import complex_gamma, complex_zeta, constant_C, constant_K, zeta_derivative
 from .zeros import ZetaZero, bundled_zeros, refine_catalog
@@ -87,7 +87,8 @@ def _coefficient(t: HPReal, bits: int) -> HPComplex:
 
     ζ(s) = 2^s π^(s-1) sin(πs/2) Γ(1-s) ζ(1-s) at s = γ - 1, and on the
     critical line 2 - γ = conj(γ+1), so Γ(2-γ) = conj(γ Γ(γ)) and
-    ζ(2-γ) = conj(ζ(γ+1)).
+    ζ(2-γ) = conj(ζ(γ+1)). For a t from :func:`refine_catalog`, ζ′(γ) is a
+    cache hit: the residual check that ended the refinement took it.
     """
     ctx = PrecisionContext(bits)
     with ctx.working():
@@ -257,8 +258,9 @@ def logf_expansion_check(tau, zeros: Sequence[ZetaZero] = (),
     """Compare log f(e^(-τ)) computed two ways, for 0 < τ <= 1.
 
     direct:    log f(x) = Σ_n φ(n) Σ_j x^(jn)/j = Σ_{N>=1} (b(N)/N) x^N at
-               x = e^(-τ), with b(N) = Σ_{d|N} d φ(d) the counting weights
-               of :func:`npcount.counting.log_derivative_weights`;
+               x = e^(-τ), with b(N) = Σ_{d|N} d φ(d) the [0, 1) counting
+               weights, ``log_derivative_weights(SlopeRange.HALF_OPEN_01, M)``
+               (:func:`npcount.counting.log_derivative_weights`);
     expansion: (C/2) τ^(-2) + Σ_γ 2 Re(c_γ τ^(-γ)) - (1/6) log τ + log K
                (the τ^(-2) residue, the zero oscillation, and the
                double-pole residue at 0);
@@ -306,7 +308,7 @@ def logf_expansion_check(tau, zeros: Sequence[ZetaZero] = (),
         prec = ctx.bits + GUARD_BITS + 3 * n_max.bit_length() + 2
         with mp.workprec(prec + 8):
             X = int(mp.nint(mp.ldexp(mp.exp(-tau), prec)))
-        b = log_derivative_weights(segment_exponents(SlopeRange.HALF_OPEN_01, n_max), n_max)
+        b = log_derivative_weights(SlopeRange.HALF_OPEN_01, n_max)
         acc = 0
         xn = X
         for N in range(1, n_max + 1):

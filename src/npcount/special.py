@@ -19,11 +19,14 @@ times the cost of its fixed-point Borwein ζ at the same point; the pass,
 which takes each power (k+1)^-s from those of the primes, gives both for
 a quarter to three fifths of the cost of that ζ (best of three at 224
 bits, ℜ s = 1/2 and 3/2, |ℑ s| from 14 to 237: 0.8–3.8 ms against
-1.4–15 ms). The program calls the pass on the critical line (Newton's
-method and its residual check) and at ℜ s = 3/2 (the residues), and with
-the bundled zeros never at |ℑ s| > 237: no command or benchmark workload
-reaches the edge ℜ s = bits or |ℑ s| = :data:`BORWEIN_MAX_HEIGHT`, which
-only the tests check.
+1.4–15 ms). The program makes four passes per bundled zero: two on the
+critical line for Newton's ladder, one there for the residual check at
+the refined t, whose ζ′ is also the one c_γ divides by, and ζ(γ+1) at
+ℜ s = 3/2 for the residue. In-strip pairs are kept in an LRU cache keyed
+by (s, context), so the residue's ζ′ call at the refined t costs no
+pass. With the bundled zeros the pass never runs at |ℑ s| > 237: no
+command or benchmark workload reaches the edge ℜ s = bits or
+|ℑ s| = :data:`BORWEIN_MAX_HEIGHT`, which only the tests check.
 
 The wrappers add four things. They raise :class:`PoleError` within
 machine tolerance of a pole instead of returning garbage. They evaluate
@@ -217,6 +220,20 @@ def _zeta_pair(s: HPComplex) -> tuple[HPComplex, HPComplex]:
         return z, (deta - z * p * mp.ln2) / q
 
 
+#: Only the residual check's entry is ever read again (by c_γ's ζ′), and
+#: refine_catalog refines every zero before any c_γ is taken. A zero leaves
+#: 3 entries at 64 bits, 4 at 192 and about 6.4 at 1024 (ladder pairs,
+#: check, ζ(γ+1); measured on the first 25 zeros), 0.7–1.2 KB each, so
+#: 4096 entries (at most ~5 MB) keep the hit for catalogs of up to 640
+#: (1024 bits) to 1300 (64 bits) zeros. A larger catalog loses it: each
+#: c_γ then pays its own pass, as without the cache, and gets the same value.
+@functools.lru_cache(maxsize=4096)
+def _strip_pair(s: HPComplex, ctx: PrecisionContext) -> tuple[HPComplex, HPComplex]:
+    """(ζ(s), ζ′(s)) from one pass, rounded by ctx; a repeated (s, ctx) costs no pass."""
+    with ctx.working():
+        return _mirrored(_zeta_pair, s, ctx)
+
+
 def _zeta(s, ctx: PrecisionContext, orders: tuple[int, ...]) -> tuple[HPComplex, ...]:
     """(ζ^(k)(s) for k in orders), orders ⊆ (0, 1): one pass in the strip, else mp.zeta."""
     with ctx.working():
@@ -224,7 +241,7 @@ def _zeta(s, ctx: PrecisionContext, orders: tuple[int, ...]) -> tuple[HPComplex,
         if abs(s - 1) <= mp.mpf(2) ** (8 - ctx.bits):
             raise PoleError("zeta pole at s = 1")
         if _in_borwein_strip(s, ctx.bits):
-            pair = _mirrored(_zeta_pair, s, ctx)
+            pair = _strip_pair(s, ctx)
             return tuple(pair[k] for k in orders)
         return _mirrored(lambda z: [mp.zeta(z, derivative=k) for k in orders], s, ctx)
 

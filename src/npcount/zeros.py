@@ -22,9 +22,10 @@ from typing import Iterable
 import mpmath as mp
 
 from .precision import GUARD_BITS, MIN_BITS, HPReal, PrecisionContext
-from .special import complex_zeta, zeta_with_derivative
+from .special import complex_zeta, zeta_derivative, zeta_with_derivative
 
-#: After refinement, |ζ(1/2 + i t)| <= 2**(RESIDUAL_MARGIN - bits).
+#: After refinement, |ζ(1/2 + i t)| <= 2**(RESIDUAL_MARGIN - bits) plus the
+#: |ζ′| |Δt| that rounding t to bits adds (see :func:`refine_zero`).
 RESIDUAL_MARGIN = 24
 
 MAX_NEWTON_ITERATIONS = 60
@@ -96,8 +97,8 @@ def _parse_zero_table(text: str, origin: str) -> list[ZetaZero]:
 def _refine_history(t0, ctx: PrecisionContext) -> tuple[HPReal, list[HPReal]]:
     """Newton-iterate t -> t - Re[ζ / (i ζ′)] at s = 1/2 + i t; returns (t, residuals).
 
-    residuals holds |ζ| at each iterate, the last one from the check at
-    working precision. See :func:`refine_zero` for the precision of each step.
+    residuals holds |ζ| at each iterate, the last one from the check at the
+    returned t. See :func:`refine_zero` for the precision of each step.
     """
     full = ctx.bits + GUARD_BITS
     floor = MIN_BITS + GUARD_BITS
@@ -114,10 +115,14 @@ def _refine_history(t0, ctx: PrecisionContext) -> tuple[HPReal, list[HPReal]]:
             t -= step
             good = mp.mag(t) - mp.mag(step) if step else prec  # bits t had before the step
             if prec == full and 2 * good >= full:
-                r = abs(complex_zeta(mp.mpc(half, t), ctx))
+                rounded = ctx.round(t)
+                s = mp.mpc(half, rounded)
+                r = abs(complex_zeta(s, ctx))
                 residuals.append(r)
-                if r <= target:
-                    return ctx.round(t), residuals
+                # rounding alone moves |ζ| by about |ζ′| |rounded - t|, which no
+                # further step removes once |ζ′| t >~ 2^24; ζ′ only if ζ misses
+                if r <= target or r <= target + abs(zeta_derivative(s, ctx)) * abs(rounded - t):
+                    return rounded, residuals
             prec = min(full, max(floor, 2 * (min(2 * good, prec) - LADDER_MARGIN)))
         raise NonConvergenceError(
             f"zero refinement from t0={mp.nstr(mp.mpf(t0), 12)} did not reach "
@@ -125,7 +130,7 @@ def _refine_history(t0, ctx: PrecisionContext) -> tuple[HPReal, list[HPReal]]:
 
 
 def refine_zero(t0, ctx: PrecisionContext = PrecisionContext()) -> HPReal:
-    """Refine a seed t0 (accurate to ~1e-3) to |ζ(1/2 + i t)| <= 2**(24 - bits).
+    """Refine a seed t0 (accurate to ~1e-3) to |ζ(1/2 + i t)| <= 2**(24 - bits) + |ζ′| |Δt|.
 
     Each step evaluates ζ and ζ′ at its own precision w, and t is carried
     at the working precision W = bits + guard. The first step runs at
@@ -136,8 +141,15 @@ def refine_zero(t0, ctx: PrecisionContext = PrecisionContext()) -> HPReal:
     A step at W from g >= W/2 is the last: it leaves an error of about
     K δ² <= K t² 2^-W, K = |ζ″/2ζ′|, so t is good to W - log2(K t)
     >= bits + 24 bits at the bundled zeros before it is rounded to bits.
-    One ζ at W then checks |ζ(1/2 + i t)| <= 2**(24 - bits); a t that
-    fails the check takes further steps at W.
+    One pass at W then checks the t it returns, t rounded to bits: it
+    accepts when |ζ(1/2 + i t)| <= 2**(24 - bits) + |ζ′| |Δt|, where Δt is
+    the rounding of the W-bit iterate. The second term is the residual
+    that rounding alone leaves, about |ζ′| t 2^-bits; it is below 2**(24 -
+    bits) at the bundled zeros, so there the check reads ζ alone, but not
+    once |ζ′| t >~ 2^24 (near t = 1.6e6 with |ζ′| = 26), where no further
+    step could lower it. A t that fails the check takes further steps at
+    W. The pass also gives ζ′ at the returned t, and the zero's c_γ takes
+    it from the kernel's cache rather than from a pass of its own.
     """
     return _refine_history(t0, ctx)[0]
 

@@ -7,6 +7,13 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from npcount import PrecisionContext, SlopeRange, bundled_zeros, count_series, refine_catalog
+from npcount import special
+
+
+@pytest.fixture(autouse=True)
+def fresh_pass_cache():
+    """Each test starts with no cached ζ/ζ′ pass, so pass counts see only its own calls."""
+    special._strip_pair.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -9,6 +9,7 @@ from typing import Iterable, Sequence
 import mpmath as mp
 
 from npcount import SlopeRange
+from npcount.counting import EXPONENT_ROWS, _series_from_weights
 
 
 def product_series(exponents, limit):
@@ -41,6 +42,59 @@ def series_quadratic_reference(b, limit):
             raise ArithmeticError(f"not divisible at n={n}")
         a.append(q)
     return a
+
+
+def totient_sieve(limit: int) -> list[int]:
+    """Euler's totient for 1..limit; returned list is indexed by n (index 0 unused)."""
+    if limit < 1:
+        raise ValueError("limit must be >= 1")
+    phi = list(range(limit + 1))
+    for i in range(2, limit + 1):
+        if phi[i] == i:  # i is prime
+            for j in range(i, limit + 1, i):
+                phi[j] -= phi[j] // i
+    phi[0] = 0
+    return phi
+
+
+def segment_exponents(slope_range: SlopeRange, limit: int) -> list[int]:
+    """e(m) for m = 1..limit from the family's row of ``EXPONENT_ROWS``; index 0 is 0.
+
+    For a slope range, e(m) = #{n : n/m in range, gcd(m, n) = 1}. φ(m) is
+    even for m >= 3, so halving it with ``//`` is exact.
+    """
+    if limit < 1:
+        raise ValueError("limit must be >= 1")
+    w, e1, e2 = EXPONENT_ROWS[slope_range]
+    num, den = w.numerator, w.denominator
+    e = [v * num // den for v in totient_sieve(limit)]
+    e[1:3] = (e1, e2)[:limit]
+    return e
+
+
+def divisor_sum_weights(e: Sequence[int], limit: int) -> list[int]:
+    """b(0..limit) with b(k) = Σ_{d|k} d e(d), so that x (log F)′ = Σ b(k) x^k.
+
+    F is the product over m of (1 - x^m)^(-e(m)); b(0) = 0. The divisor sum
+    term by term, O(limit log limit): the reference for the library's sieve.
+    """
+    b = [0] * (limit + 1)
+    for d in range(1, limit + 1):
+        if e[d]:
+            de = d * e[d]
+            for k in range(d, limit + 1, d):
+                b[k] += de
+    return b
+
+
+def series_from_exponents(e: Sequence[int], limit: int) -> list[int]:
+    """Coefficients a(0..limit) of the product over m of (1 - x^m)^(-e(m)).
+
+    e(1..limit) must be >= 0; a negative exponent raises ValueError.
+    """
+    if any(v < 0 for v in e[1:limit + 1]):
+        raise ValueError("exponents e(m) must be >= 0")
+    return _series_from_weights(divisor_sum_weights(e, limit), limit)
 
 
 def rho_bilinear_reference(max_height):

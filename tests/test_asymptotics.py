@@ -12,15 +12,16 @@ from npcount import (
     constant_C,
     full_estimate,
     logf_expansion_check,
-    segment_exponents,
-    totient_sieve,
+    refine_catalog,
     wave_sample,
 )
 import npcount.asymptotics as amod
+from npcount import special
 from npcount.asymptotics import TruncationError
 
 import golden
 import oracles
+from oracles import segment_exponents, totient_sieve
 
 
 def rel(a, b):
@@ -110,6 +111,17 @@ class TestResidueCoefficients:
     def test_moduli_strictly_decreasing_first_30(self, ctx, catalog):
         mods = [abs(c) for _, c in amod._zero_terms(catalog[:30], ctx)]
         assert all(a > b for a, b in zip(mods, mods[1:]))
+
+    def test_four_passes_per_zero(self, monkeypatch):
+        # two Newton pairs, the residual check (whose ζ′ c_γ reuses) and ζ(γ+1)
+        amod._coefficient.cache_clear()
+        passes, run_pass = [], special._zeta_pair
+        monkeypatch.setattr(special, "_zeta_pair", lambda s: passes.append(s) or run_pass(s))
+        ctx = PrecisionContext(192)
+        for seed in bundled_zeros()[:25]:
+            passes.clear()
+            amod._zero_terms(refine_catalog([seed], ctx), ctx)
+            assert len(passes) == 4, seed.t
 
     @pytest.mark.parametrize("bits", [64, 192, 512])
     def test_against_four_call_reference(self, first25, bits):
@@ -319,7 +331,6 @@ class TestExpansionCheck:
         def forbidden(*args):
             raise AssertionError("built a table for a sum that cannot fit")
 
-        monkeypatch.setattr(amod, "segment_exponents", forbidden)
         monkeypatch.setattr(amod, "log_derivative_weights", forbidden)
         with pytest.raises(TruncationError, match="smallest tau that fits"):
             logf_expansion_check("1e-5", (), ctx)

@@ -5,18 +5,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from npcount import (
-    SlopeRange,
-    count_series,
-    log_derivative_weights,
-    segment_exponents,
-    totient_sieve,
-)
-from npcount.counting import _BASE_BLOCK, _series_from_weights, series_from_exponents
+from npcount import SlopeRange, count_series, log_derivative_weights
+from npcount.counting import _BASE_BLOCK, _series_from_weights
 
 import golden
 import oracles
-from oracles import rho_bruteforce
+from oracles import (
+    divisor_sum_weights,
+    rho_bruteforce,
+    segment_exponents,
+    series_from_exponents,
+    totient_sieve,
+)
 
 
 class TestTotient:
@@ -142,7 +142,7 @@ class TestCountSeries:
     def test_inexact_division_beyond_first_block_raises(self):
         # b(300) reaches s(300) only through a block product, not the direct sum
         limit = 600
-        b = log_derivative_weights(segment_exponents(SlopeRange.HALF_OPEN_01, limit), limit)
+        b = log_derivative_weights(SlopeRange.HALF_OPEN_01, limit)
         b[300] += 1
         with pytest.raises(ArithmeticError, match="n=300"):
             _series_from_weights(b, limit)
@@ -162,7 +162,7 @@ class TestCountSeries:
     @example(limit=_BASE_BLOCK + 1, slope_range=SlopeRange.CLOSED_01)
     @example(limit=2 * _BASE_BLOCK + 1, slope_range=SlopeRange.CLOSED_0_HALF)
     def test_fast_route_equals_quadratic_reference(self, limit, slope_range):
-        b = log_derivative_weights(segment_exponents(slope_range, limit), limit)
+        b = log_derivative_weights(slope_range, limit)
         assert _series_from_weights(b, limit) == oracles.series_quadratic_reference(b, limit)
 
     def test_sparse_exponents_across_blocks(self):
@@ -177,12 +177,26 @@ class TestLogDerivativeWeights:
     LIMIT = 200
 
     @pytest.mark.parametrize("slope_range", list(SlopeRange))
-    def test_divisor_sum(self, slope_range):
-        e = segment_exponents(slope_range, self.LIMIT)
-        b = log_derivative_weights(e, self.LIMIT)
+    @settings(max_examples=30, deadline=None)
+    @given(limit=st.integers(1, 3 * _BASE_BLOCK))
+    @example(limit=LIMIT)
+    @example(limit=1)
+    @example(limit=2)
+    @example(limit=3)
+    @example(limit=4)
+    @example(limit=8)
+    @example(limit=9)
+    @example(limit=27)
+    @example(limit=32)
+    @example(limit=49)
+    @example(limit=1024)
+    @example(limit=2187)
+    def test_divisor_sum(self, slope_range, limit):
+        # prime powers and squares take the sieve's p | k/p branch; w = 1/2 stays in int
+        b = log_derivative_weights(slope_range, limit)
         assert b[0] == 0
-        for k in range(1, self.LIMIT + 1):
-            assert b[k] == sum(d * e[d] for d in range(1, k + 1) if k % d == 0), k
+        assert all(type(v) is int for v in b)
+        assert b == divisor_sum_weights(segment_exponents(slope_range, limit), limit)
 
     @pytest.mark.parametrize("slope_range", list(SlopeRange))
     def test_are_k_times_log_coefficients(self, slope_range):
@@ -192,7 +206,7 @@ class TestLogDerivativeWeights:
         for m in range(1, self.LIMIT + 1):
             for j in range(1, self.LIMIT // m + 1):
                 log_coeffs[j * m] += Fraction(e[m], j)
-        b = log_derivative_weights(e, self.LIMIT)
+        b = log_derivative_weights(slope_range, self.LIMIT)
         assert [Fraction(b[k], k) for k in range(1, self.LIMIT + 1)] == log_coeffs[1:]
 
 

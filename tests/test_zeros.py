@@ -81,6 +81,19 @@ class TestRefinement:
             z, _ = zeta_with_derivative(mp.mpc(mp.mpf(1) / 2, t), ctx)
         assert abs(z) <= mp.mpf(2) ** (24 - ctx.bits)
 
+    def test_zero_file_entry_far_up_the_line(self, tmp_path):
+        # the 3,000,000th zero: |ζ′| t ≈ 4.3e7 > 2^25, so rounding t to 64
+        # bits alone leaves |ζ| above 2^(24 - 64) at the returned t
+        f = tmp_path / "far.txt"
+        f.write_text("1642800.2869\n")
+        ctx = PrecisionContext(64)
+        [z] = refine_catalog(load_zeros(f), ctx)
+        with mp.workprec(200):
+            want = mp.mpf("1642800.28688467210891808758040767174654127976")
+            assert z.t == ctx.round(want)
+            s = mp.mpc(mp.mpf(1) / 2, z.t)
+            assert abs(mp.zeta(s)) > mp.mpf(2) ** (24 - ctx.bits)
+
     def test_residuals_quadratic(self, ctx):
         _, residuals = _refine_history("21.0220", ctx)
         floor = mp.mpf(2) ** (40 - ctx.bits)
