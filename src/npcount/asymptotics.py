@@ -63,17 +63,12 @@ class TruncationError(ArithmeticError):
 
 @dataclass(frozen=True)
 class AsymptoticBreakdown:
-    """log-scale estimate split into main term and zero oscillation."""
+    """log-scale estimate: main term, zero oscillation and their sum, each rounded to bits."""
 
     tau: HPReal
     log_main: HPReal
     oscillation: HPReal
-    ctx: PrecisionContext
-
-    @property
-    def log_estimate(self) -> HPReal:
-        with self.ctx.final():
-            return +(self.log_main + self.oscillation)
+    log_estimate: HPReal
 
 
 # ---------------------------------------------------------------------------
@@ -156,9 +151,9 @@ def full_estimate(n: int, zeros: Sequence[ZetaZero],
         main = (mp.mpf(3) / 2 * n * tau + w * mp.log(constant_K(ctx)) + c_log2 * mp.log(2)
                 - mp.log(6 * mp.pi * w * C) / 2 + (12 - w - 6 * p) / mp.mpf(6) * mp.log(tau)
                 + q * tau)
-        osc = w * _oscillation_at_tau(tau, terms)
-        return AsymptoticBreakdown(tau=ctx.round(tau), log_main=ctx.round(main),
-                                   oscillation=ctx.round(osc), ctx=ctx)
+        log_main, osc = ctx.round(main), ctx.round(w * _oscillation_at_tau(tau, terms))
+        with ctx.final():
+            return AsymptoticBreakdown(+tau, log_main, osc, log_main + osc)
 
 
 # ---------------------------------------------------------------------------

@@ -52,6 +52,12 @@ MAX_WAVE_SAMPLES = 100_000
 #: cost of either grows about as bits^1.3.
 MAX_BITS = 1024
 
+#: Largest --zero-file t that ``compare``, ``logf-check`` and ``zeros refine``
+#: refine. Seconds per zero at 64 / 192 / 1024 bits: 2.5 / 7.0 / 57 at t = 3.3e9,
+#: under the peak below 1e6 (6.9 / 8.9 / 276, mpmath's Euler–Maclaurin ζ), but
+#: 8.2 / 16 / 111 at 3e10 and 23 (64 bits) at 2.7e11; 1e30 ran out of memory.
+MAX_ZERO_HEIGHT = 10 ** 9
+
 
 def _catalog(args):
     if args.zero_file:
@@ -59,12 +65,20 @@ def _catalog(args):
     return bundled_zeros()
 
 
+def _refinable(zeros):
+    """zeros, unrefined, once none is above MAX_ZERO_HEIGHT (a usage error)."""
+    top = max((z.t for z in zeros), default=0)
+    if top > MAX_ZERO_HEIGHT:
+        raise UsageError(f"--zero-file entries to refine must be <= {MAX_ZERO_HEIGHT:g}, got {top}")
+    return zeros
+
+
 def _first_zeros(args):
     """The first --k-zeros catalog entries, unrefined; a k outside the catalog is a usage error."""
     zeros = _catalog(args)
     if not 0 <= args.k_zeros <= len(zeros):
         raise UsageError(f"--k-zeros must be in [0, {len(zeros)}], got {args.k_zeros}")
-    return zeros[:args.k_zeros]
+    return _refinable(zeros[:args.k_zeros])
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +153,7 @@ def _rows_wave(args, ctx):
 def _rows_zeros(args, ctx):
     zeros = _catalog(args)
     if args.action == "refine":
-        zeros = refine_catalog(zeros, ctx)
+        zeros = refine_catalog(_refinable(zeros), ctx)
     return ["index", "t"], [
         {"index": i, "t": mp.nstr(z.t, args.digits)} for i, z in enumerate(zeros, start=1)
     ]

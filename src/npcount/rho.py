@@ -51,9 +51,6 @@ class RhoTable:
             raise IndexError(f"h={h} beyond table height {self.max_height}")
         return self.rows[h][d]
 
-    def row(self, h: int) -> tuple[int, ...]:
-        return self.rows[h]
-
     def entries(self):
         """Yield (h, d, ρ(h,d)) over the whole triangle, h then d ascending."""
         for h in range(self.max_height + 1):

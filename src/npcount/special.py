@@ -48,6 +48,7 @@ import mpmath as mp
 from mpmath.libmp import isqrt_fast, ln2_fixed, log_int_fixed, pi_fixed, to_fixed
 from mpmath.libmp.libelefun import cos_sin_fixed, exp_fixed
 
+from .counting import smallest_prime_factors
 from .precision import HPComplex, HPReal, PrecisionContext
 
 
@@ -101,24 +102,18 @@ def _powers(n: int, ref: int, imf: int, wp: int, critical: bool) -> tuple[list[i
     """(ℜ j^-s, ℑ j^-s, ln j) for j = 0..n in fixed point at wp bits (entry 0 unused).
 
     j^-s = e^(-σ ln j) e^(-it ln j) and ln j are completely multiplicative
-    in j, so a smallest-prime-factor sieve takes them from the primes: a
-    prime p costs a log, a power (a square root on σ = 1/2, else an exp)
-    and a cos/sin, and a composite j = p·m one complex product of the
-    entries for p and m, with ln j = ln p + ln m. σ = ref and t = imf are
-    fixed-point at wp bits.
+    in j, so they come from the primes of :func:`~.counting.smallest_prime_factors`:
+    a prime p costs a log, a power (a square root on σ = 1/2, else an exp) and
+    a cos/sin, and a composite j = p·m (p its least prime factor) one complex
+    product of the entries for p and m, with ln j = ln p + ln m; σ = ref, t = imf.
     """
-    spf = list(range(n + 1))
-    for p in range(2, math.isqrt(n) + 1):
-        if spf[p] == p:
-            for m in range(p * p, n + 1, p):
-                if spf[m] == m:
-                    spf[m] = p
+    spf = smallest_prime_factors(n)
     one_2wp = 1 << (2 * wp)
     ln2, pi2 = ln2_fixed(wp), pi_fixed(wp - 1)
     re, im, logs = [0, 1 << wp] + [0] * (n - 1), [0] * (n + 1), [0] * (n + 1)
     for j in range(2, n + 1):
         p = spf[j]
-        if p == j:
+        if not p:
             log = log_int_fixed(j, wp, ln2)
             if critical:  # j^-1/2 by a square root, much cheaper than exp
                 w = one_2wp // isqrt_fast(j << (2 * wp))

@@ -59,7 +59,7 @@ class ZetaZero:
 
 
 def load_zeros(path) -> list[ZetaZero]:
-    """Parse a zero table: one decimal t per line, '#' comments, strictly increasing."""
+    """Parse a zero table: one finite decimal t > 0 per line, '#' comments, strictly increasing."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
@@ -85,8 +85,8 @@ def _parse_zero_table(text: str, origin: str) -> list[ZetaZero]:
                 t = mp.mpf(line)
         except ValueError:
             raise ZeroFileError(f"{origin}:{lineno}: not a decimal number: {line!r}") from None
-        if not t > 0:
-            raise ZeroFileError(f"{origin}:{lineno}: t must be positive, got {line!r}")
+        if not (t > 0 and mp.isfinite(t)):
+            raise ZeroFileError(f"{origin}:{lineno}: t must be positive and finite, got {line!r}")
         if prev is not None and not t > prev:
             raise ZeroFileError(f"{origin}:{lineno}: values must be strictly increasing")
         zeros.append(ZetaZero(t))

@@ -30,6 +30,7 @@ from npcount.cli import (
     MAX_COUNT_HEIGHT,
     MAX_RHO_HEIGHT,
     MAX_WAVE_SAMPLES,
+    MAX_ZERO_HEIGHT,
     build_parser,
     main,
 )
@@ -198,6 +199,35 @@ class TestBounds:
         assert flag in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", [("zeros", "refine"),
+                                         ("compare", "-n", "10", "--k-zeros", "1"),
+                                         ("logf-check", "--tau", "0.5", "--k-zeros", "1")])
+    def test_zero_far_over_the_height_bound_is_usage_error(self, capsys, monkeypatch, tmp_path,
+                                                           command):
+        # refining t = 1e30 runs out of memory inside mpmath's ζ
+        def forbidden(*args, **kwargs):
+            raise AssertionError("work started before the bound was checked")
+        monkeypatch.setattr("npcount.cli.count_series", forbidden)
+        monkeypatch.setattr("npcount.cli.refine_catalog", forbidden)
+        path = tmp_path / "zeros.txt"
+        path.write_text("1e30\n")
+        code, out, err = run(capsys, *command, "--zero-file", str(path))
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "--zero-file" in err
+        assert "Traceback" not in err
+
+    def test_zero_height_bound_reads_only_the_zeros_refined(self, capsys, tmp_path):
+        path = tmp_path / "zeros.txt"
+        path.write_text(f"14.13\n{10 * MAX_ZERO_HEIGHT}\n")
+        code, out, _ = run(capsys, "zeros", "dump", "--zero-file", str(path))
+        assert code == EXIT_OK
+        assert [float(r["t"]) for r in csv_rows(out)] == [14.13, 10 * MAX_ZERO_HEIGHT]
+        code, out, _ = run(capsys, "compare", "-n", "10", "--k-zeros", "1", "--bits", "64",
+                           "--zero-file", str(path))
+        assert code == EXIT_OK
+        assert len(csv_rows(out)) == 1
+
     def test_bounds_are_inclusive(self, capsys):
         code, out, _ = run(capsys, "count", "--max", "3", "--bits", str(MAX_BITS))
         assert code == EXIT_OK
@@ -337,7 +367,7 @@ class TestKernelCommands:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("text", ["abc\n", "14.13\n-2\n", "21.02\n14.13\n",
-                                      b"\xff\xfe14.13\n"])
+                                      b"\xff\xfe14.13\n", "14.13\ninf\n"])
     @pytest.mark.parametrize("command", [("zeros", "refine"),
                                          ("compare", "-n", "10", "--k-zeros", "1")])
     def test_malformed_zero_file_is_io_error(self, capsys, tmp_path, text, command):

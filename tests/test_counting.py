@@ -1,12 +1,12 @@
 from fractions import Fraction
-from math import gcd, pi
+from math import gcd, isqrt, pi
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from npcount import SlopeRange, count_series, log_derivative_weights
-from npcount.counting import _BASE_BLOCK, _series_from_weights
+from npcount.counting import _BASE_BLOCK, _series_from_weights, smallest_prime_factors
 
 import golden
 import oracles
@@ -171,6 +171,14 @@ class TestCountSeries:
         e = [0] * (limit + 1)
         e[7] = e[300] = 1
         assert series_from_exponents(e, limit) == oracles.product_series(e, limit)
+
+
+class TestSmallestPrimeFactors:
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 49, 300, 2187])
+    def test_against_trial_division(self, n):
+        def least_factor(k):  # 0 for primes and k < 2
+            return next((d for d in range(2, isqrt(k) + 1) if k % d == 0), 0)
+        assert smallest_prime_factors(n) == [least_factor(k) for k in range(n + 1)]
 
 
 class TestLogDerivativeWeights:

@@ -78,7 +78,7 @@ def test_duality_up_to_10(table15):
 def test_row_sums_match_count_series(table15):
     series = count_series(SlopeRange.HALF_OPEN_01, 15)
     for h in range(16):
-        assert sum(table15.row(h)) == series[h]
+        assert sum(table15.rows[h]) == series[h]
 
 
 def test_entries_iteration_order(table15):
