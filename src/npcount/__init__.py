@@ -5,11 +5,12 @@ slope ranges [0, 1), [0, 1] and [0, 1/2], the symmetric-polygon counts,
 and the triangular (height, depth) table. Asymptotic side:
 :func:`full_estimate`, the saddle main term with the oscillatory
 corrections of the non-trivial zeta zeros as one breakdown, for the
-family its ``slope_range`` argument names, the first-zero wave and a check of the
-Mellin expansion of log f, evaluated with high-precision Γ from mpmath,
-ζ and ζ′ in the critical strip from one fixed-point Borwein pass of its
-own and from mpmath elsewhere, behind pole-checked, conjugate-symmetric,
-rounded wrappers.
+family its ``slope_range`` argument names, the zero wave
+:func:`wave_sample` and a check of the Mellin expansion of log f, each
+summing the zeros its caller hands it, evaluated with high-precision Γ
+from mpmath, ζ and ζ′ in the critical strip from one fixed-point Borwein
+pass of its own and from mpmath elsewhere, behind pole-checked,
+conjugate-symmetric, rounded wrappers.
 """
 from .asymptotics import (
     AsymptoticBreakdown,

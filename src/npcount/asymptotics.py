@@ -37,12 +37,12 @@ For [0, 1) this is log P(n) + osc(τ) with
 
 All estimates are carried in natural-log scale. :func:`full_estimate` is
 the public view of every family's estimate: its :class:`AsymptoticBreakdown`
-carries τ, the main term (log P(n) for [0, 1)) and w osc(τ) side by side.
-Zero sums run over the zeros the caller passes — the amplitudes |c_γ|
-fall off exponentially in t, like e^(-πt/2) times a slowly growing
-factor (|c_γ| e^(πt/2) is 2.1 at t = 14.1, 5.9 at 49.8 and 28 at 236.5),
-so the truncation tail is bounded by the triangle inequality
-Σ 2|c_γ| τ^(-1/2).
+carries τ, the main term (log P(n) for [0, 1)) and w osc(τ) side by side,
+and :func:`wave_sample` exp(osc(τ)). Every zero sum runs over just the zeros
+the caller hands in (this module reads no zero table): the amplitudes |c_γ|
+fall off exponentially in t, like e^(-πt/2) times a slowly growing factor
+(|c_γ| e^(πt/2) is 2.1 at t = 14.1, 5.9 at 49.8 and 28 at 236.5), so the
+truncation tail is bounded by the triangle inequality Σ 2|c_γ| τ^(-1/2).
 """
 from __future__ import annotations
 
@@ -55,7 +55,7 @@ import mpmath as mp
 from .counting import EXPONENT_ROWS, SlopeRange, log_derivative_weights
 from .precision import GUARD_BITS, HPComplex, HPReal, PrecisionContext
 from .special import complex_gamma, complex_zeta, constant_C, constant_K, zeta_derivative
-from .zeros import ZetaZero, bundled_zeros, refine_catalog
+from .zeros import ZetaZero, refine_catalog
 
 class TruncationError(ArithmeticError):
     """A series failed to reach its truncation threshold."""
@@ -157,27 +157,21 @@ def full_estimate(n: int, zeros: Sequence[ZetaZero],
 
 
 # ---------------------------------------------------------------------------
-# the first-zero wave (Figure-2 style data)
+# the zero wave (Figure-2 style data)
 # ---------------------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=None)
-def _first_zero(bits: int) -> tuple[HPReal, HPComplex]:
-    """(t1, c_γ1) for the first zero, refined at the given precision."""
-    return _zero_terms(bundled_zeros()[:1], PrecisionContext(bits))[0]
+def wave_sample(x, zeros: Sequence[ZetaZero], ctx: PrecisionContext = PrecisionContext()) -> HPReal:
+    """Wave y(x) = exp(Σ_γ 2 Re(c_γ τ^(-γ))) = exp(Σ_γ 2 Re(c_γ C^(-γ/3) x^(γ/3))), x > 0.
 
-
-def wave_sample(x, ctx: PrecisionContext = PrecisionContext()) -> HPReal:
-    """First-zero wave y(x) = exp(2 Re(c_γ1 τ^(-γ1))) = exp(2 Re(c_γ1 C^(-γ1/3) x^(γ1/3))), x > 0.
-
-    τ = (C/x)^(1/3) is the [0, 1) saddle at height x, so y(n) = exp(osc(τ))
-    with the first zero alone.
+    The sum runs over the given zeros, and τ = (C/x)^(1/3) is the [0, 1)
+    saddle at height x. The first-zero wave passes the first zero alone.
     """
     with ctx.working():
         x = mp.mpf(x)
         if not x > 0:
             raise ValueError("x must be positive")
-        return ctx.round(mp.exp(_oscillation_at_tau(_tau(x, 1, ctx), [_first_zero(ctx.bits)])))
+        return ctx.round(mp.exp(_oscillation_at_tau(_tau(x, 1, ctx), _zero_terms(zeros, ctx))))
 
 
 # ---------------------------------------------------------------------------

@@ -134,18 +134,15 @@ def _rows_wave(args, ctx):
     if not (math.isfinite(args.xmax) and 0 < args.xmin <= args.xmax):
         raise UsageError(f"need finite --xmin and --xmax with 0 < --xmin <= --xmax, "
                          f"got {args.xmin} and {args.xmax}")
+    first = refine_catalog(bundled_zeros()[:1], ctx)
     rows = []
     with ctx.working():
-        lo = mp.mpf(args.xmin)
-        hi = mp.mpf(args.xmax)
+        lo, hi = mp.mpf(args.xmin), mp.mpf(args.xmax)
+        steps = max(args.samples - 1, 1)  # --samples 1 gives x = --xmin alone
         for i in range(args.samples):
-            if args.samples == 1:
-                x = lo
-            elif args.linear_x:
-                x = lo + (hi - lo) * i / (args.samples - 1)
-            else:
-                x = lo * (hi / lo) ** (mp.mpf(i) / (args.samples - 1))
-            y = wave_sample(x, ctx)
+            x = (lo + (hi - lo) * i / steps if args.linear_x
+                 else lo * (hi / lo) ** (mp.mpf(i) / steps))
+            y = wave_sample(x, first, ctx)
             rows.append({"x": mp.nstr(x, args.digits), "y": mp.nstr(y, args.digits)})
     return ["x", "y"], rows
 
@@ -160,10 +157,14 @@ def _rows_zeros(args, ctx):
 
 
 def _rows_logf(args, ctx):
-    taus = [ctx.real(tau_text) for tau_text in args.tau]
-    for tau, tau_text in zip(taus, args.tau):
-        if not 0 < tau <= 1:
-            raise UsageError(f"--tau must be in (0, 1], got {tau_text}")
+    taus = []
+    for text in args.tau:
+        try:
+            taus.append(ctx.real(text))
+        except ValueError:
+            raise UsageError(f"--tau must be a plain decimal number, got {text!r}") from None
+        if not 0 < taus[-1] <= 1:
+            raise UsageError(f"--tau must be in (0, 1], got {text}")
     zeros = refine_catalog(_first_zeros(args), ctx)
     rows = []
     for tau in taus:

@@ -8,6 +8,7 @@ fixed inputs always produce bit-identical results.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import mpmath as mp
@@ -24,6 +25,8 @@ DEFAULT_BITS = 192
 
 #: Extra mantissa bits used internally by kernel operations.
 GUARD_BITS = 32
+
+_DECIMAL = re.compile(r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
 
 
 @dataclass(frozen=True)
@@ -47,7 +50,9 @@ class PrecisionContext:
         return mp.workprec(self.bits)
 
     def real(self, x) -> HPReal:
-        """Parse/convert x to an HPReal rounded at this precision."""
+        """Parse/convert x to an HPReal rounded at this precision; a string must be a plain decimal."""
+        if isinstance(x, str) and not _DECIMAL.fullmatch(x):
+            raise ValueError(f"not a plain decimal number: {x!r}")
         with self.final():
             return +mp.mpf(x)
 

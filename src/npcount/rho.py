@@ -68,8 +68,6 @@ def rho_recurrence_table(max_height: int) -> RhoTable:
     """
     if max_height < 0:
         raise ValueError("max_height must be >= 0")
-    if max_height == 0:
-        return RhoTable(0, ((1,),))
     top = count_series(SlopeRange.HALF_OPEN_01, max_height)[max_height]
     width = (max_height * top).bit_length() // 8 + 1
 

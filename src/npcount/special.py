@@ -76,9 +76,7 @@ def _near_nonpositive_integer(s: HPComplex, bits: int) -> bool:
     re = mp.re(s)
     if re > 0.25:
         return False
-    nearest = mp.floor(re + mp.mpf(1) / 2)
-    if nearest > 0:
-        return False
+    nearest = mp.floor(re + mp.mpf(1) / 2)  # <= 0, as re <= 1/4
     tol = mp.mpf(2) ** (8 - bits) * max(1, abs(s))
     return abs(s - nearest) <= tol
 

@@ -247,7 +247,7 @@ class TestVariants:
 
 class TestWave:
     def test_amplitude_vanishes_at_zero(self, ctx, zeros25):
-        y = wave_sample(mp.mpf("1e-30"), ctx)
+        y = wave_sample(mp.mpf("1e-30"), zeros25[:1], ctx)
         assert abs(y - 1) < mp.mpf("1e-12")
         assert wave_envelope(mp.mpf("1e-30"), zeros25[0].t, ctx) < mp.mpf("1e-13")
 
@@ -255,15 +255,15 @@ class TestWave:
         with ctx.working():
             for i in range(60):
                 x = mp.mpf(10) ** (mp.mpf(i) / 4)  # 1 .. 1e15 in log steps
-                logy = mp.log(wave_sample(x, ctx))
+                logy = mp.log(wave_sample(x, zeros25[:1], ctx))
                 assert abs(logy) <= wave_envelope(x, zeros25[0].t, ctx) * (1 + mp.mpf("1e-30"))
 
-    def test_maxima_spacing_in_log_x(self, ctx):
+    def test_maxima_spacing_in_log_x(self, ctx, zeros25):
         import math
         lo, hi, samples = 1e8, 1e14, 4000
         lnxs = [math.log(lo) + (math.log(hi) - math.log(lo)) * i / (samples - 1)
                 for i in range(samples)]
-        logy = [float(mp.log(wave_sample(mp.exp(mp.mpf(lx)), ctx))) for lx in lnxs]
+        logy = [float(mp.log(wave_sample(mp.exp(mp.mpf(lx)), zeros25[:1], ctx))) for lx in lnxs]
         peaks = [lnxs[i] for i in range(1, samples - 1)
                  if logy[i] > logy[i - 1] and logy[i] > logy[i + 1]]
         assert len(peaks) >= 3
@@ -275,14 +275,14 @@ class TestWave:
     def test_sample_is_first_zero_oscillation(self, first25, bits):
         bctx = PrecisionContext(bits)
         for n in (1, 10, 1000, 10**6, 10**12):
-            y = wave_sample(n, bctx)
+            y = wave_sample(n, first25(bits)[:1], bctx)
             with mp.workprec(bits + 64):
                 want = mp.exp(full_estimate(n, first25(bits)[:1], bctx).oscillation)
                 assert abs(y - want) <= mp.mpf(2) ** (8 - bits) * want, n
 
-    def test_rejects_nonpositive_x(self, ctx):
+    def test_rejects_nonpositive_x(self, ctx, zeros25):
         with pytest.raises(ValueError):
-            wave_sample(0, ctx)
+            wave_sample(0, zeros25[:1], ctx)
 
 
 class TestExpansionCheck:

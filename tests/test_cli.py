@@ -125,6 +125,19 @@ class TestLogfCheck:
         assert "--tau must be in (0, 1], got 2" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("tau", ["0.01_4", "abc"])
+    def test_tau_that_is_not_a_plain_decimal_is_usage_error(self, capsys, monkeypatch, tau):
+        # mpmath alone reads 0.01_4 as 0.0014
+        def forbidden(*args, **kwargs):
+            raise AssertionError("work started before --tau was checked")
+        monkeypatch.setattr("npcount.cli.refine_catalog", forbidden)
+        monkeypatch.setattr("npcount.cli.logf_expansion_check", forbidden)
+        code, out, err = run(capsys, "logf-check", "--tau", "0.5", "--tau", tau, "--k-zeros", "1")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert f"--tau must be a plain decimal number, got {tau!r}" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("tau", ["1e-80", "1e-300"])
     def test_tau_where_x_rounds_to_one_names_the_floor(self, capsys, tau):
         # e^(-tau) rounds to 1 here, so 1 - x must not be formed by subtraction
@@ -192,6 +205,7 @@ class TestBounds:
             raise AssertionError("work started before the bound was checked")
         monkeypatch.setattr("npcount.cli.count_series", forbidden)
         monkeypatch.setattr("npcount.cli.rho_recurrence_table", forbidden)
+        monkeypatch.setattr("npcount.cli.refine_catalog", forbidden)
         monkeypatch.setattr("npcount.cli.wave_sample", forbidden)
         code, out, err = run(capsys, *argv)
         assert code == EXIT_USAGE
@@ -244,6 +258,7 @@ class TestWave:
         assert first[0] == EXIT_OK
         assert run(capsys, *argv) == first
         ctx = PrecisionContext(192)
+        first_zero = refine_catalog(bundled_zeros()[:1], ctx)
         want = []
         with ctx.working():
             lo, hi = mp.mpf(1), mp.mpf("1e6")
@@ -252,8 +267,19 @@ class TestWave:
                     x = lo + (hi - lo) * i / 4
                 else:
                     x = lo * (hi / lo) ** (mp.mpf(i) / 4)
-                want.append({"x": mp.nstr(x, 15), "y": mp.nstr(wave_sample(x, ctx), 15)})
+                want.append({"x": mp.nstr(x, 15), "y": mp.nstr(wave_sample(x, first_zero, ctx), 15)})
         assert csv_rows(first[1]) == want
+
+    @pytest.mark.parametrize("linear", [False, True])
+    def test_one_sample_is_at_xmin(self, capsys, linear):
+        argv = ["wave", "--xmin", "3", "--xmax", "1e6", "--samples", "1"]
+        if linear:
+            argv.append("--linear-x")
+        code, out, _ = run(capsys, *argv)
+        assert code == EXIT_OK
+        ctx = PrecisionContext(192)
+        y = wave_sample(3, refine_catalog(bundled_zeros()[:1], ctx), ctx)
+        assert csv_rows(out) == [{"x": "3.0", "y": mp.nstr(y, 15)}]
 
     @pytest.mark.parametrize("xmin,xmax,samples", [("inf", "inf", "1"),
                                                    ("1", "inf", "2"),
@@ -261,6 +287,7 @@ class TestWave:
     def test_non_finite_bounds_are_usage_errors(self, capsys, monkeypatch, xmin, xmax, samples):
         def forbidden(*args, **kwargs):
             raise AssertionError("wave sampled before its bounds were checked")
+        monkeypatch.setattr("npcount.cli.refine_catalog", forbidden)
         monkeypatch.setattr("npcount.cli.wave_sample", forbidden)
         code, out, err = run(capsys, "wave", "--xmin", xmin, "--xmax", xmax, "--samples", samples)
         assert code == EXIT_USAGE
@@ -367,7 +394,7 @@ class TestKernelCommands:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("text", ["abc\n", "14.13\n-2\n", "21.02\n14.13\n",
-                                      b"\xff\xfe14.13\n", "14.13\ninf\n"])
+                                      b"\xff\xfe14.13\n", "14.13\ninf\n", "14.134_725\n"])
     @pytest.mark.parametrize("command", [("zeros", "refine"),
                                          ("compare", "-n", "10", "--k-zeros", "1")])
     def test_malformed_zero_file_is_io_error(self, capsys, tmp_path, text, command):

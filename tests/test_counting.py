@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from npcount import SlopeRange, count_series, log_derivative_weights
+from npcount import CountSeries, SlopeRange, count_series, log_derivative_weights
 from npcount.counting import _BASE_BLOCK, _series_from_weights, smallest_prime_factors
 
 import golden
@@ -80,6 +80,10 @@ class TestCountSeries:
 
     def test_limit_zero(self):
         assert count_series(SlopeRange.HALF_OPEN_01, 0).values == (1,)
+
+    def test_values_must_cover_the_limit(self):
+        with pytest.raises(ValueError):
+            CountSeries(SlopeRange.HALF_OPEN_01, 3, (1, 1, 2))
 
     def test_closed_small(self):
         s = count_series(SlopeRange.CLOSED_01, 5)

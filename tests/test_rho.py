@@ -32,6 +32,11 @@ def test_zero_extension():
         t.value(100, 3)
 
 
+def test_negative_height_rejected():
+    with pytest.raises(ValueError):
+        rho_recurrence_table(-1)
+
+
 def test_height_zero_table():
     t = rho_recurrence_table(0)
     assert t.rows == ((1,),)

@@ -47,6 +47,20 @@ def test_bernoulli_small_values():
                  Fraction(-1, 30), Fraction(5, 66), Fraction(-691, 2730)]
 
 
+@pytest.mark.parametrize("text", ["1", "-1.5e-3", ".5", "5.", "+2E10", "141.1237"])
+def test_real_parses_plain_decimals_as_mpmath_does(text):
+    with mp.workprec(BITS):
+        assert CTX.real(text) == mp.mpf(text)
+
+
+@pytest.mark.parametrize("text", ["141.12_37", "abc", "", ".", "1e", "1..2", " 1", "inf", "nan",
+                                  "1/2", "0x10"])
+def test_real_rejects_other_strings(text):
+    # mpmath alone reads 141.12_37 as 14.11237
+    with pytest.raises(ValueError):
+        CTX.real(text)
+
+
 def test_precision_context_validation():
     with pytest.raises(ValueError):
         PrecisionContext(32)
