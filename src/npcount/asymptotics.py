@@ -82,8 +82,9 @@ def _coefficient(t: HPReal, bits: int) -> HPComplex:
 
     ζ(s) = 2^s π^(s-1) sin(πs/2) Γ(1-s) ζ(1-s) at s = γ - 1, and on the
     critical line 2 - γ = conj(γ+1), so Γ(2-γ) = conj(γ Γ(γ)) and
-    ζ(2-γ) = conj(ζ(γ+1)). For a t from :func:`refine_catalog`, ζ′(γ) is a
-    cache hit: the residual check that ended the refinement took it.
+    ζ(2-γ) = conj(ζ(γ+1)). For a t from :func:`refine_catalog`, ζ(γ+1)
+    and ζ′(γ) are cache hits: the residual check that ended the refinement
+    took both from one pass, so c_γ itself makes no pass in the strip.
     """
     ctx = PrecisionContext(bits)
     with ctx.working():

@@ -47,6 +47,11 @@ MAX_RHO_HEIGHT = 320
 #: takes 0.67 ms, so 10^5 take about 67 s. Time and memory grow linearly.
 MAX_WAVE_SAMPLES = 100_000
 
+#: Largest ``wave --xmax``: the largest double, the range --xmin and --xmax
+#: had when they were read as doubles, so a bound such as 1e400 that read as
+#: inf is still refused.
+MAX_WAVE_X = sys.float_info.max
+
 #: Largest ``--bits``: at 1024 bits ``zeros refine`` (100 zeros) takes
 #: 7-8 s and ``compare -n 5`` (25 zeros) 3-4 s; from 192 to 1024 bits, the
 #: cost of either grows about as bits^1.3.
@@ -71,6 +76,14 @@ def _refinable(zeros):
     if top > MAX_ZERO_HEIGHT:
         raise UsageError(f"--zero-file entries to refine must be <= {MAX_ZERO_HEIGHT:g}, got {top}")
     return zeros
+
+
+def _decimal(text, ctx):
+    """text at ctx's precision, or None when it is not a plain decimal number."""
+    try:
+        return ctx.real(text)
+    except ValueError:
+        return None
 
 
 def _first_zeros(args):
@@ -109,7 +122,8 @@ def _rows_compare(args, ctx):
     if not ns or ns[0] < 1 or ns[-1] > MAX_COUNT_HEIGHT:
         raise UsageError(f"every -n must be in [1, {MAX_COUNT_HEIGHT}]")
     seeds = _first_zeros(args)
-    series = count_series(SlopeRange.HALF_OPEN_01, ns[-1])
+    family = SlopeRange(args.range)
+    series = count_series(family, ns[-1])
     zeros = refine_catalog(seeds, ctx)
     rows = []
     with ctx.working():
@@ -117,7 +131,7 @@ def _rows_compare(args, ctx):
         for n in ns:
             exact = mp.mpf(series[n])
             log_exact = mp.log(exact)
-            est = full_estimate(n, zeros, ctx)
+            est = full_estimate(n, zeros, ctx, slope_range=family)
             rows.append({
                 "n": n,
                 "log10_count": mp.nstr(log_exact / ln10, args.digits),
@@ -131,13 +145,14 @@ def _rows_compare(args, ctx):
 def _rows_wave(args, ctx):
     if not 1 <= args.samples <= MAX_WAVE_SAMPLES:
         raise UsageError(f"--samples must be in [1, {MAX_WAVE_SAMPLES}], got {args.samples}")
-    if not (math.isfinite(args.xmax) and 0 < args.xmin <= args.xmax):
-        raise UsageError(f"need finite --xmin and --xmax with 0 < --xmin <= --xmax, "
-                         f"got {args.xmin} and {args.xmax}")
+    lo, hi = _decimal(args.xmin, ctx), _decimal(args.xmax, ctx)
+    if lo is None or hi is None or not 0 < lo <= hi <= MAX_WAVE_X:
+        raise UsageError(f"need finite --xmin and --xmax, plain decimal numbers with "
+                         f"0 < --xmin <= --xmax <= {MAX_WAVE_X:.6g}, "
+                         f"got {args.xmin!r} and {args.xmax!r}")
     first = refine_catalog(bundled_zeros()[:1], ctx)
     rows = []
     with ctx.working():
-        lo, hi = mp.mpf(args.xmin), mp.mpf(args.xmax)
         steps = max(args.samples - 1, 1)  # --samples 1 gives x = --xmin alone
         for i in range(args.samples):
             x = (lo + (hi - lo) * i / steps if args.linear_x
@@ -159,12 +174,12 @@ def _rows_zeros(args, ctx):
 def _rows_logf(args, ctx):
     taus = []
     for text in args.tau:
-        try:
-            taus.append(ctx.real(text))
-        except ValueError:
-            raise UsageError(f"--tau must be a plain decimal number, got {text!r}") from None
-        if not 0 < taus[-1] <= 1:
+        tau = _decimal(text, ctx)
+        if tau is None:
+            raise UsageError(f"--tau must be a plain decimal number, got {text!r}")
+        if not 0 < tau <= 1:
             raise UsageError(f"--tau must be in (0, 1], got {text}")
+        taus.append(tau)
     zeros = refine_catalog(_first_zeros(args), ctx)
     rows = []
     for tau in taus:
@@ -206,14 +221,15 @@ def build_parser() -> argparse.ArgumentParser:
     catalog = argparse.ArgumentParser(add_help=False)
     catalog.add_argument("--k-zeros", type=int, default=DEFAULT_ZERO_COUNT)
     catalog.add_argument("--zero-file", default=None)
+    family = argparse.ArgumentParser(add_help=False)
+    family.add_argument("--range", choices=[r.value for r in SlopeRange], default="half-open",
+                        help="slope range, or symmetric: polygons of height 2g counted by "
+                             "genus g (default %(default)s)")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("count", parents=[common],
+    p = sub.add_parser("count", parents=[common, family],
                        help="exact counts by height for a slope range")
-    p.add_argument("--range", choices=[r.value for r in SlopeRange], default="half-open",
-                   help="slope range, or symmetric: polygons of height 2g counted by "
-                        "genus g (default %(default)s)")
     p.add_argument("--max", type=int, required=True, help="largest height (or genus)")
     p.set_defaults(rows=_rows_count)
 
@@ -222,16 +238,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-height", type=int, required=True)
     p.set_defaults(rows=_rows_rho)
 
-    p = sub.add_parser("compare", parents=[common, catalog],
+    p = sub.add_parser("compare", parents=[common, catalog, family],
                        help="exact count vs asymptotic estimate at given heights")
     p.add_argument("-n", dest="n", type=int, action="append", required=True,
-                   help="height to evaluate (repeatable)")
+                   help="height (genus for --range symmetric) to evaluate (repeatable)")
     p.set_defaults(rows=_rows_compare)
 
     p = sub.add_parser("wave", parents=[common],
                        help="sample the first-zero oscillation wave")
-    p.add_argument("--xmin", type=float, required=True)
-    p.add_argument("--xmax", type=float, required=True)
+    p.add_argument("--xmin", required=True, help="smallest x (parsed at full precision)")
+    p.add_argument("--xmax", required=True, help="largest x (parsed at full precision)")
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--linear-x", action="store_true",
                    help="sample uniformly in x instead of log x")

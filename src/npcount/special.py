@@ -4,11 +4,11 @@
 its own:
 
 * :func:`complex_gamma` is ``mp.gamma``;
-* :func:`complex_zeta`, :func:`zeta_derivative` and
-  :func:`zeta_with_derivative` take ζ and ζ′ for 1/2 <= ℜ s <= bits and
-  |ℑ s| <= :data:`BORWEIN_MAX_HEIGHT` from one fixed-point pass of
-  Borwein's algorithm that sums η and η′ together (:func:`_zeta_pair`);
-  elsewhere they are ``mp.zeta(s, derivative=k)``;
+* :func:`complex_zeta`, :func:`zeta_derivative`,
+  :func:`zeta_with_derivative` and :func:`zeta_at_zero` take ζ and ζ′ for
+  1/2 <= ℜ s <= bits and |ℑ s| <= :data:`BORWEIN_MAX_HEIGHT` from one
+  fixed-point pass of Borwein's algorithm that sums η and η′ together
+  (:func:`_zeta_pair`); elsewhere they are ``mp.zeta(s, derivative=k)``;
 * :func:`bernoulli_even` is ``mp.bernfrac``;
 * :func:`constant_C` and :func:`constant_K` are ``mp.zeta`` at 3, 2 and -1;
   at the integers 3 and 2 mpmath divides by (k+1)^s in integers, over ten
@@ -19,14 +19,17 @@ times the cost of its fixed-point Borwein ζ at the same point; the pass,
 which takes each power (k+1)^-s from those of the primes, gives both for
 a quarter to three fifths of the cost of that ζ (best of three at 224
 bits, ℜ s = 1/2 and 3/2, |ℑ s| from 14 to 237: 0.8–3.8 ms against
-1.4–15 ms). The program makes four passes per bundled zero: two on the
-critical line for Newton's ladder, one there for the residual check at
-the refined t, whose ζ′ is also the one c_γ divides by, and ζ(γ+1) at
-ℜ s = 3/2 for the residue. In-strip pairs are kept in an LRU cache keyed
-by (s, context), so the residue's ζ′ call at the refined t costs no
-pass. With the bundled zeros the pass never runs at |ℑ s| > 237: no
-command or benchmark workload reaches the edge ℜ s = bits or
-|ℑ s| = :data:`BORWEIN_MAX_HEIGHT`, which only the tests check.
+1.4–15 ms). The program makes three passes per bundled zero: two on the
+critical line for Newton's ladder, and one for the residual check at the
+refined t (:func:`zeta_at_zero`), which also sums s + 1 from the same
+powers and weights. That pass gives the ζ′(γ) that c_γ divides by and
+the ζ(γ+1) of its residue, for less than the two passes it replaces
+(best of five over the first 25 zeros: 39 ms against 30 + 33 ms at 192
+bits, 0.82 s against 0.65 + 0.83 s at 1024). In-strip pairs are kept in
+an LRU cache keyed by (s, context), so the residue's calls at γ and
+γ + 1 cost no pass. With the bundled zeros the pass never runs at
+|ℑ s| > 237: no command or benchmark workload reaches the edge ℜ s = bits
+or |ℑ s| = :data:`BORWEIN_MAX_HEIGHT`, which only the tests check.
 
 The wrappers add four things. They raise :class:`PoleError` within
 machine tolerance of a pole instead of returning garbage. They evaluate
@@ -42,6 +45,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import OrderedDict
 from fractions import Fraction
 
 import mpmath as mp
@@ -126,8 +130,15 @@ def _powers(n: int, ref: int, imf: int, wp: int, critical: bool) -> tuple[list[i
     return re, im, logs
 
 
-def _zeta_pair(s: HPComplex) -> tuple[HPComplex, HPComplex]:
-    """(ζ(s), ζ′(s)) for 1/2 <= σ = ℜ s and t = ℑ s >= 0, at mp.prec = W.
+def _shifted(s: HPComplex) -> HPComplex:
+    """s + 1, added exactly."""
+    return mp.mpc(mp.fadd(mp.re(s), 1, exact=True), mp.im(s))
+
+
+def _zeta_pair(s: HPComplex, shifted: bool = False) -> tuple[HPComplex, ...]:
+    """(ζ(s), ζ′(s)), then (ζ(s+1), ζ′(s+1)) if shifted, at mp.prec = W.
+
+    The pass takes 1/2 <= σ = ℜ s and t = ℑ s >= 0.
 
     One fixed-point pass of Borwein's algorithm (P. Borwein, *An efficient
     algorithm for the Riemann zeta function*, 2000) sums, with the weights
@@ -138,7 +149,9 @@ def _zeta_pair(s: HPComplex) -> tuple[HPComplex, HPComplex]:
     sharing each term's log and power between the two sums, and returns
     ζ = η/q and ζ′ = (η′ - ζ q′)/q with q = 1 - 2^(1-s), q′ = 2^(1-s) ln 2.
     The powers and logs come from :func:`_powers`: one cos/sin per prime
-    p <= n rather than one per term.
+    p <= n rather than one per term. The weights depend on n alone and
+    (k+1)^-(s+1) = (k+1)^-s/(k+1), so a shifted pass sums η and η′ at s + 1
+    in the same loop, from each term at s divided by k + 1.
 
     Weights. d_k = Σ_{i<=k} a_i with a_i = n (n+i-1)! 4^i / ((n-i)! (2i)!),
     the integers of ``libmp.gammazeta.borwein_coefficients``. The loop runs
@@ -162,12 +175,14 @@ def _zeta_pair(s: HPComplex) -> tuple[HPComplex, HPComplex]:
         n >= (E + 5 + log2(|t| + 3)/4 + log2(e^(π/2)) |t|) / log2(3 + √8),
 
     which is mpmath's n = wp/2.54 + 5 + 0.9|t| for ζ alone, with the
-    Cauchy allowance added.
+    Cauchy allowance added. The bound falls as ℜ z grows at fixed ℑ z, so
+    it holds at s + 1 whenever it holds at s for the same E.
 
     Target. The absolute errors of η and η′ are held to 2^-E with
     E = W + ⌈σ⌉ + 2 l, where 2^-l <= |q| (l = 2 - mag q, q estimated at
     W): ζ′ divides η′ by q and η by q², and |ζ′(s)| is of order 2^-σ for
-    large σ.
+    large σ. A shifted pass takes E, and so n and wp, as the larger of the
+    two points' sizes.
 
     Rounding. The sums run in integers at wp bits, u = 2^-wp. For a prime
     p <= n, ln p is good to u, p^-σ to 4u, the angle t ln p to (|t| + 1)u
@@ -181,60 +196,100 @@ def _zeta_pair(s: HPComplex) -> tuple[HPComplex, HPComplex]:
     then stay below 2^-E once
 
         wp = E + ⌈log2(n (1 + ln n) log2 n (|t| (1 + ln n) + 12))⌉.
+
+    A term at s + 1 is the integer term at s floored after its division by
+    k + 1: it carries that term's error over k + 1 and adds less than one
+    unit of the unnormalised sum, 2^-wp/d_n once the sum is divided by d_n.
+    So each term at s + 1 is no worse than its term at s, and the same wp
+    holds for both points.
     """
     prec = mp.mp.prec
     sigma, t = mp.re(s), mp.im(s)
     tf = float(t)
-    lost = max(0, 2 - mp.mag(1 - mp.power(2, 1 - s)))
-    target = prec + int(mp.ceil(sigma)) + 2 * lost
+    points = (s, _shifted(s)) if shifted else (s,)
+    target = max(prec + int(mp.ceil(mp.re(z))) + 2 * max(0, 2 - mp.mag(1 - mp.power(2, 1 - z)))
+                 for z in points)
     n = math.ceil((target + 5 + math.log2(tf + 3) / 4 + math.pi / (2 * math.log(2)) * tf)
                   / math.log2(3 + math.sqrt(8)))
     ln_n = math.log(n)
     wp = target + math.ceil(math.log2(n * (1 + ln_n) * math.log2(n) * (tf * (1 + ln_n) + 12)))
     re_j, im_j, log_j = _powers(n, to_fixed(sigma._mpf_, wp), to_fixed(t._mpf_, wp), wp, sigma == 0.5)
     e_re = e_im = de_re = de_im = 0
+    f_re = f_im = df_re = df_im = 0  # the same four sums at s + 1
     a = tail = 1 << (2 * n - 1)  # a_n and d_n - d_(n-1)
     for k in range(n - 1, -1, -1):
+        j, log = k + 1, log_j[k + 1]
         w = tail if k & 1 else -tail
-        re, im = w * re_j[k + 1], w * im_j[k + 1]
+        re, im = w * re_j[j], w * im_j[j]
         e_re += re
         e_im += im
-        de_re += re * log_j[k + 1]
-        de_im += im * log_j[k + 1]
+        de_re += re * log
+        de_im += im * log
+        if shifted:
+            re, im = re // j, im // j
+            f_re += re
+            f_im += im
+            df_re += re * log
+            df_im += im * log
         a = a * (2 * k + 2) * (2 * k + 1) // (4 * (n + k) * (n - k))
         tail += a  # d_n - d_(k-1), and d_n once k = 0
     dn = tail
+    out = []
     with mp.workprec(wp):
-        eta = mp.mpc(mp.mpf((e_re // -dn, -wp)), mp.mpf((e_im // -dn, -wp)))
-        deta = mp.mpc(mp.mpf((de_re // dn, -2 * wp)), mp.mpf((de_im // dn, -2 * wp)))
-        p = mp.power(2, 1 - s)
-        q = 1 - p
-        z = eta / q
-        return z, (deta - z * p * mp.ln2) / q
+        for z, (s_re, s_im, ds_re, ds_im) in zip(points, ((e_re, e_im, de_re, de_im),
+                                                          (f_re, f_im, df_re, df_im))):
+            eta = mp.mpc(mp.mpf((s_re // -dn, -wp)), mp.mpf((s_im // -dn, -wp)))
+            deta = mp.mpc(mp.mpf((ds_re // dn, -2 * wp)), mp.mpf((ds_im // dn, -2 * wp)))
+            p = mp.power(2, 1 - z)
+            q = 1 - p
+            zeta = eta / q
+            out += [zeta, (deta - zeta * p * mp.ln2) / q]
+    return tuple(out)
 
 
-#: Only the residual check's entry is ever read again (by c_γ's ζ′), and
-#: refine_catalog refines every zero before any c_γ is taken. A zero leaves
-#: 3 entries at 64 bits, 4 at 192 and about 6.4 at 1024 (ladder pairs,
-#: check, ζ(γ+1); measured on the first 25 zeros), 0.7–1.2 KB each, so
-#: 4096 entries (at most ~5 MB) keep the hit for catalogs of up to 640
-#: (1024 bits) to 1300 (64 bits) zeros. A larger catalog loses it: each
-#: c_γ then pays its own pass, as without the cache, and gets the same value.
-@functools.lru_cache(maxsize=4096)
-def _strip_pair(s: HPComplex, ctx: PrecisionContext) -> tuple[HPComplex, HPComplex]:
-    """(ζ(s), ζ′(s)) from one pass, rounded by ctx; a repeated (s, ctx) costs no pass."""
+#: In-strip (ζ, ζ′) pairs by (s, context), least recently used first. Only
+#: the residual check's two entries are ever read again (ζ′(γ) and ζ(γ+1),
+#: by c_γ), and refine_catalog refines every zero before any c_γ is taken.
+#: A zero leaves 3 entries at 64 bits, 4 at 192 and about 6.4 at 1024
+#: (ladder pairs, then γ and γ + 1 from the check; measured on the first
+#: 25 zeros), 0.7–1.2 KB each, so 4096 entries (at most ~5 MB) keep the
+#: hits for catalogs of up to 640 (1024 bits) to 1300 (64 bits) zeros. A
+#: larger catalog loses them: each c_γ then pays two passes of its own, as
+#: without the cache, and gets values within the same error bound.
+_pass_cache: OrderedDict = OrderedDict()
+_PASS_CACHE_SIZE = 4096
+
+
+def _strip_pair(s: HPComplex, ctx: PrecisionContext, shifted: bool = False) -> tuple[HPComplex, HPComplex]:
+    """(ζ(s), ζ′(s)) from one pass, rounded by ctx; a repeated (s, ctx) costs no pass.
+
+    A shifted pass also caches the pair at s + 1, unless that is cached already.
+    """
+    key = (s, ctx)
+    if key in _pass_cache:
+        _pass_cache.move_to_end(key)
+        return _pass_cache[key]
     with ctx.working():
-        return _mirrored(_zeta_pair, s, ctx)
+        values = _mirrored(lambda z: _zeta_pair(z, shifted), s, ctx)
+    _pass_cache[key] = values[:2]
+    if shifted:
+        _pass_cache.setdefault((_shifted(s), ctx), values[2:])
+    while len(_pass_cache) > _PASS_CACHE_SIZE:
+        _pass_cache.popitem(last=False)
+    return values[:2]
 
 
-def _zeta(s, ctx: PrecisionContext, orders: tuple[int, ...]) -> tuple[HPComplex, ...]:
-    """(ζ^(k)(s) for k in orders), orders ⊆ (0, 1): one pass in the strip, else mp.zeta."""
+def _zeta(s, ctx: PrecisionContext, orders: tuple[int, ...], shifted: bool = False) -> tuple[HPComplex, ...]:
+    """(ζ^(k)(s) for k in orders), orders ⊆ (0, 1): one pass in the strip, else mp.zeta.
+
+    shifted: the pass also caches (ζ, ζ′) at s + 1.
+    """
     with ctx.working():
         s = mp.mpc(s)
         if abs(s - 1) <= mp.mpf(2) ** (8 - ctx.bits):
             raise PoleError("zeta pole at s = 1")
         if _in_borwein_strip(s, ctx.bits):
-            pair = _strip_pair(s, ctx)
+            pair = _strip_pair(s, ctx, shifted)
             return tuple(pair[k] for k in orders)
         return _mirrored(lambda z: [mp.zeta(z, derivative=k) for k in orders], s, ctx)
 
@@ -259,6 +314,16 @@ def complex_zeta(s, ctx: PrecisionContext = PrecisionContext()) -> HPComplex:
 def zeta_derivative(s, ctx: PrecisionContext = PrecisionContext()) -> HPComplex:
     """ζ′(s), same domain and error contract as :func:`complex_zeta`."""
     return _zeta(s, ctx, (1,))[0]
+
+
+def zeta_at_zero(s, ctx: PrecisionContext = PrecisionContext()) -> HPComplex:
+    """ζ(s) for the check at a refined zero γ = s, with the contract of :func:`complex_zeta`.
+
+    In the strip its one pass also sums s + 1, and caches (ζ, ζ′) at s and
+    at s + 1: the zero's c_γ then reads ζ′(γ) and ζ(γ + 1) from the cache.
+    Elsewhere it is ``mp.zeta`` at s alone.
+    """
+    return _zeta(s, ctx, (0,), shifted=True)[0]
 
 
 def zeta_with_derivative(s, ctx: PrecisionContext = PrecisionContext()) -> tuple[HPComplex, HPComplex]:

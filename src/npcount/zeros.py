@@ -22,7 +22,7 @@ from typing import Iterable
 import mpmath as mp
 
 from .precision import GUARD_BITS, MIN_BITS, HPReal, PrecisionContext
-from .special import complex_zeta, zeta_derivative, zeta_with_derivative
+from .special import zeta_at_zero, zeta_derivative, zeta_with_derivative
 
 #: After refinement, |ζ(1/2 + i t)| <= 2**(RESIDUAL_MARGIN - bits) plus the
 #: |ζ′| |Δt| that rounding t to bits adds (see :func:`refine_zero`).
@@ -119,7 +119,7 @@ def _refine_history(t0, ctx: PrecisionContext) -> tuple[HPReal, list[HPReal]]:
             if prec == full and 2 * good >= full:
                 rounded = ctx.round(t)
                 s = mp.mpc(half, rounded)
-                r = abs(complex_zeta(s, ctx))
+                r = abs(zeta_at_zero(s, ctx))
                 residuals.append(r)
                 # rounding alone moves |ζ| by about |ζ′| |rounded - t|, which no
                 # further step removes once |ζ′| t >~ 2^24; ζ′ only if ζ misses
@@ -150,8 +150,11 @@ def refine_zero(t0, ctx: PrecisionContext = PrecisionContext()) -> HPReal:
     bits) at the bundled zeros, so there the check reads ζ alone, but not
     once |ζ′| t >~ 2^24 (near t = 1.6e6 with |ζ′| = 26), where no further
     step could lower it. A t that fails the check takes further steps at
-    W. The pass also gives ζ′ at the returned t, and the zero's c_γ takes
-    it from the kernel's cache rather than from a pass of its own.
+    W. The check's pass (:func:`~npcount.special.zeta_at_zero`) also sums
+    s + 1 from the same powers table, so it leaves ζ′ at the returned t and
+    ζ at 3/2 + i t in the kernel's cache, and the zero's c_γ reads both
+    there: a bundled zero costs three passes, two Newton steps and the
+    check. Above the strip the check and c_γ use mpmath's ζ instead.
     """
     return _refine_history(t0, ctx)[0]
 

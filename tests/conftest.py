@@ -13,7 +13,7 @@ from npcount import special
 @pytest.fixture(autouse=True)
 def fresh_pass_cache():
     """Each test starts with no cached ζ/ζ′ pass, so pass counts see only its own calls."""
-    special._strip_pair.cache_clear()
+    special._pass_cache.clear()
 
 
 @pytest.fixture(scope="session")

@@ -11,6 +11,7 @@ from npcount import (
     count_series,
     constant_C,
     full_estimate,
+    load_zeros,
     logf_expansion_check,
     refine_catalog,
     wave_sample,
@@ -112,16 +113,36 @@ class TestResidueCoefficients:
         mods = [abs(c) for _, c in amod._zero_terms(catalog[:30], ctx)]
         assert all(a > b for a, b in zip(mods, mods[1:]))
 
-    def test_four_passes_per_zero(self, monkeypatch):
-        # two Newton pairs, the residual check (whose ζ′ c_γ reuses) and ζ(γ+1)
+    def test_three_passes_per_zero(self, monkeypatch):
+        # two Newton pairs, then the residual check, whose pass also sums γ + 1:
+        # c_γ reads its ζ′(γ) and ζ(γ+1) back; every pass builds one powers table
         amod._coefficient.cache_clear()
-        passes, run_pass = [], special._zeta_pair
-        monkeypatch.setattr(special, "_zeta_pair", lambda s: passes.append(s) or run_pass(s))
+        tables, build = [], special._powers
+        monkeypatch.setattr(special, "_powers", lambda n, *rest: tables.append(n) or build(n, *rest))
+        shifted, run_pass = [], special._zeta_pair
+        monkeypatch.setattr(special, "_zeta_pair",
+                            lambda s, *rest: shifted.append(rest == (True,)) or run_pass(s, *rest))
         ctx = PrecisionContext(192)
         for seed in bundled_zeros()[:25]:
-            passes.clear()
+            tables.clear()
+            shifted.clear()
             amod._zero_terms(refine_catalog([seed], ctx), ctx)
-            assert len(passes) == 4, seed.t
+            assert len(tables) == 3, seed.t
+            assert shifted == [False, False, True], seed.t
+
+    def test_zero_file_entry_just_above_the_strip(self, tmp_path, monkeypatch):
+        # the 1518th zero: its check and its ζ(γ+1) take mpmath's ζ, not the pass
+        amod._coefficient.cache_clear()
+        passes, run_pass = [], special._zeta_pair
+        monkeypatch.setattr(special, "_zeta_pair", lambda s, *rest: passes.append(s) or run_pass(s, *rest))
+        f = tmp_path / "above.txt"
+        f.write_text("2000.43451530243224677689\n")
+        ctx = PrecisionContext(64)
+        [(t, c)] = amod._zero_terms(load_zeros(f), ctx)
+        assert t > special.BORWEIN_MAX_HEIGHT and passes == []
+        want = oracles.residue_coefficient_reference(t, ctx.bits)
+        with mp.workprec(ctx.bits + 64):
+            assert abs(c - want) <= mp.mpf(2) ** (8 - ctx.bits) * abs(want)
 
     @pytest.mark.parametrize("bits", [64, 192, 512])
     def test_against_four_call_reference(self, first25, bits):

@@ -52,7 +52,7 @@ def test_traced_invocation_fires_every_required_span(bench, workload, monkeypatc
     child, run = bench
     # a c_γ or a pass cached by an earlier test would skip the kernel calls the spans time
     amod._coefficient.cache_clear()
-    special._strip_pair.cache_clear()
+    special._pass_cache.clear()
     tracer = child.Tracer()
     for module, attr, name, info in child.WRAPPED:
         mod = importlib.import_module(module)

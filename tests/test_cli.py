@@ -295,6 +295,30 @@ class TestWave:
         assert "need finite --xmin and --xmax" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("xmin,xmax", [("nan", "10"), ("1", "nan"), ("+inf", "10"), ("abc", "10"),
+                                           ("1", "1e"), ("0x10", "20"), ("1/2", "1"), ("1_0", "20"),
+                                           (" 1", "10")])
+    def test_non_decimal_bounds_are_usage_errors(self, capsys, monkeypatch, xmin, xmax):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("work started before the bounds were parsed")
+        for name in ("bundled_zeros", "refine_catalog", "wave_sample"):
+            monkeypatch.setattr(f"npcount.cli.{name}", forbidden)
+        code, out, err = run(capsys, "wave", "--xmin", xmin, "--xmax", xmax, "--samples", "2")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "plain decimal numbers with 0 < --xmin <= --xmax" in err
+        assert f"got {xmin!r} and {xmax!r}" in err
+        assert "Traceback" not in err
+
+    def test_bounds_are_read_as_decimals(self, capsys):
+        # read as a double, 0.1 printed as 0.100000000000000005551115123126
+        code, out, _ = run(capsys, "wave", "--xmin", "0.1", "--xmax", "0.1", "--samples", "1",
+                           "--digits", "30")
+        assert code == EXIT_OK
+        ctx = PrecisionContext(192)
+        y = wave_sample(ctx.real("0.1"), refine_catalog(bundled_zeros()[:1], ctx), ctx)
+        assert csv_rows(out) == [{"x": "0.1", "y": mp.nstr(y, 30)}]
+
 
 class TestZeroCount:
     @staticmethod
@@ -342,23 +366,32 @@ class TestKernelCommands:
         first = run(capsys, *argv)
         assert first[0] == EXIT_OK
         assert run(capsys, *argv) == first
-        ctx = PrecisionContext(192)
-        zeros = refine_catalog(bundled_zeros()[:3], ctx)
-        series = count_series(SlopeRange.HALF_OPEN_01, 100)
-        want = []
-        with ctx.working():
-            ln10 = mp.log(10)
-            for n in (10, 100):
-                est = full_estimate(n, zeros, ctx)
-                log_exact = mp.log(series[n])
-                want.append({
-                    "n": str(n),
-                    "log10_count": mp.nstr(log_exact / ln10, 15),
-                    "log10_leading": mp.nstr(est.log_main / ln10, 15),
-                    "log10_estimate": mp.nstr(est.log_estimate / ln10, 15),
-                    "residual_log": mp.nstr(log_exact - est.log_main, 15),
-                })
-        assert csv_rows(first[1]) == want
+        assert csv_rows(first[1]) == compare_rows((10, 100), 3, 192, SlopeRange.HALF_OPEN_01)
+
+    @pytest.mark.parametrize("family", list(SlopeRange))
+    def test_compare_range_rows_equal_library_estimates(self, capsys, family):
+        argv = ("compare", "-n", "10", "-n", "100", "--k-zeros", "2", "--bits", "64",
+                "--range", family.value)
+        first = run(capsys, *argv)
+        assert first[0] == EXIT_OK
+        assert run(capsys, *argv) == first
+        assert csv_rows(first[1]) == compare_rows((10, 100), 2, 64, family)
+
+    def test_compare_range_defaults_to_half_open(self, capsys):
+        argv = ("compare", "-n", "10", "-n", "100", "--k-zeros", "2", "--bits", "64")
+        assert run(capsys, *argv) == run(capsys, *argv, "--range", "half-open")
+
+    def test_compare_bad_range_is_usage_error(self, capsys, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("work started before --range was checked")
+        for name in ("count_series", "refine_catalog", "full_estimate"):
+            monkeypatch.setattr(f"npcount.cli.{name}", forbidden)
+        with pytest.raises(SystemExit) as exc:
+            main(["compare", "-n", "10", "--range", "open"])
+        out, err = capsys.readouterr()
+        assert exc.value.code == EXIT_USAGE
+        assert out == ""
+        assert "invalid choice: 'open'" in err
 
     def test_out_writes_the_stdout_bytes(self, capsys, tmp_path):
         argv = ("wave", "--xmin", "1", "--xmax", "1e6", "--samples", "5")
@@ -405,6 +438,27 @@ class TestKernelCommands:
         assert out == ""
         assert "npcount: I/O error" in err
         assert "Traceback" not in err
+
+
+def compare_rows(ns, k, bits, family):
+    """The rows ``compare`` prints for heights ns, the first k zeros and one family, from the library."""
+    ctx = PrecisionContext(bits)
+    zeros = refine_catalog(bundled_zeros()[:k], ctx)
+    series = count_series(family, max(ns))
+    rows = []
+    with ctx.working():
+        ln10 = mp.log(10)
+        for n in ns:
+            est = full_estimate(n, zeros, ctx, slope_range=family)
+            log_exact = mp.log(series[n])
+            rows.append({
+                "n": str(n),
+                "log10_count": mp.nstr(log_exact / ln10, 15),
+                "log10_leading": mp.nstr(est.log_main / ln10, 15),
+                "log10_estimate": mp.nstr(est.log_estimate / ln10, 15),
+                "residual_log": mp.nstr(log_exact - est.log_main, 15),
+            })
+    return rows
 
 
 def subcommands():

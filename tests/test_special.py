@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from mpmath.libmp.gammazeta import borwein_cache
 
 from npcount import special
+from npcount.special import zeta_at_zero
 from npcount import (
     PoleError,
     PrecisionContext,
@@ -264,7 +265,7 @@ class TestBorweinPass:
     def test_domain_edges(self, bits, monkeypatch):
         ctx = PrecisionContext(bits)
         passes, run_pass = [], special._zeta_pair
-        monkeypatch.setattr(special, "_zeta_pair", lambda s: passes.append(s) or run_pass(s))
+        monkeypatch.setattr(special, "_zeta_pair", lambda s, *rest: passes.append(s) or run_pass(s, *rest))
         with ctx.working():
             eps = mp.mpf(2) ** -(bits + 8)
             # the last point is 2^-40 from a zero of q = 1 - 2^(1-s), which ζ = η/q divides by
@@ -340,6 +341,50 @@ class TestBorweinPass:
         for _ in range(10):
             s = mp.mpc(rng.uniform(0.5, 3), rng.uniform(-300, 300))
             assert (complex_zeta(s, ctx), zeta_derivative(s, ctx)) == zeta_with_derivative(s, ctx)
+
+    @pytest.mark.parametrize("bits", [64, 192])
+    def test_shifted_pass_equals_separate_passes(self, first25, bits, monkeypatch):
+        """The check's pass at a refined zero γ also caches (ζ, ζ′) at γ + 1.
+
+        Read back from that pass, ζ′(γ) and the pair at γ + 1 equal what
+        passes of their own give, bit for bit, and the pair at γ + 1 is
+        within 2**(8 - bits) of mpmath's at bits + 300. ζ(γ) itself is left
+        out: near a zero its low bits are the pass's rounding noise.
+        """
+        ctx = PrecisionContext(bits)
+        with ctx.working():
+            points = [(mp.mpc(0.5, z.t), mp.mpc(1.5, z.t)) for z in first25(bits)]
+        for s, _ in points:
+            zeta_at_zero(s, ctx)
+        passes, run_pass = [], special._zeta_pair
+        monkeypatch.setattr(special, "_zeta_pair", lambda s, *rest: passes.append(s) or run_pass(s, *rest))
+
+        def read():
+            return [(zeta_derivative(s, ctx),) + zeta_with_derivative(s1, ctx) for s, s1 in points]
+
+        warm = read()
+        assert passes == []
+        special._pass_cache.clear()
+        assert read() == warm
+        assert len(passes) == 2 * len(points)
+        for (s, s1), (_, z1, zd1) in zip(points, warm):
+            with mp.workprec(bits + 300):
+                want, want_d = mp.zeta(s1), mp.zeta(s1, derivative=1)
+                tol = mp.mpf(2) ** (8 - bits)
+                assert abs(z1 - want) <= tol * abs(want)
+                assert abs(zd1 - want_d) <= tol * abs(want_d)
+
+    def test_shifted_pass_mirrors_below_the_axis(self):
+        ctx = PrecisionContext(64)
+        t = bundled_zeros()[0].t
+        with ctx.working():  # mp.mpc rounds its parts to the ambient precision
+            s, s_below, s1, s1_below = (mp.mpc(x, y) for x in (0.5, 1.5) for y in (t, -t))
+        zeta_at_zero(s_below, ctx)
+        below = zeta_with_derivative(s1_below, ctx)
+        special._pass_cache.clear()
+        zeta_at_zero(s, ctx)
+        for a, b in zip(below, zeta_with_derivative(s1, ctx)):
+            assert a.real == b.real and a.imag + b.imag == 0
 
     @pytest.mark.parametrize("bits", [64, 192])
     def test_schwarz_reflection_exact(self, bits):
