@@ -53,8 +53,9 @@ MAX_WAVE_SAMPLES = 100_000
 MAX_WAVE_X = sys.float_info.max
 
 #: Largest ``--bits``: at 1024 bits ``zeros refine`` (100 zeros) takes
-#: 7-8 s and ``compare -n 5`` (25 zeros) 3-4 s; from 192 to 1024 bits, the
-#: cost of either grows about as bits^1.3.
+#: 7.5-10 s and ``compare -n 5`` (25 zeros) 1.9-2.3 s; from 192 to 1024
+#: bits their cost grows about as bits^1.6 and bits^1.0, as a bundled zero
+#: takes one Borwein pass at 192 bits and four at 1024.
 MAX_BITS = 1024
 
 #: Largest --zero-file t that ``compare``, ``logf-check`` and ``zeros refine``

@@ -26,7 +26,8 @@ DEFAULT_BITS = 192
 #: Extra mantissa bits used internally by kernel operations.
 GUARD_BITS = 32
 
-_DECIMAL = re.compile(r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
+#: A plain decimal number: digits with an optional point, sign and exponent.
+PLAIN_DECIMAL = re.compile(r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
 
 
 @dataclass(frozen=True)
@@ -51,7 +52,7 @@ class PrecisionContext:
 
     def real(self, x) -> HPReal:
         """Parse/convert x to an HPReal rounded at this precision; a string must be a plain decimal."""
-        if isinstance(x, str) and not _DECIMAL.fullmatch(x):
+        if isinstance(x, str) and not PLAIN_DECIMAL.fullmatch(x):
             raise ValueError(f"not a plain decimal number: {x!r}")
         with self.final():
             return +mp.mpf(x)

@@ -4,8 +4,8 @@
 its own:
 
 * :func:`complex_gamma` is ``mp.gamma``;
-* :func:`complex_zeta`, :func:`zeta_derivative`,
-  :func:`zeta_with_derivative` and :func:`zeta_at_zero` take ζ and ζ′ for
+* :func:`complex_zeta`, :func:`zeta_derivative` and
+  :func:`zeta_with_derivative` take ζ and ζ′ for
   1/2 <= ℜ s <= bits and |ℑ s| <= :data:`BORWEIN_MAX_HEIGHT` from one
   fixed-point pass of Borwein's algorithm that sums η and η′ together
   (:func:`_zeta_pair`); elsewhere they are ``mp.zeta(s, derivative=k)``;
@@ -19,17 +19,19 @@ times the cost of its fixed-point Borwein ζ at the same point; the pass,
 which takes each power (k+1)^-s from those of the primes, gives both for
 a quarter to three fifths of the cost of that ζ (best of three at 224
 bits, ℜ s = 1/2 and 3/2, |ℑ s| from 14 to 237: 0.8–3.8 ms against
-1.4–15 ms). The program makes three passes per bundled zero: two on the
-critical line for Newton's ladder, and one for the residual check at the
-refined t (:func:`zeta_at_zero`), which also sums s + 1 from the same
-powers and weights. That pass gives the ζ′(γ) that c_γ divides by and
-the ζ(γ+1) of its residue, for less than the two passes it replaces
-(best of five over the first 25 zeros: 39 ms against 30 + 33 ms at 192
-bits, 0.82 s against 0.65 + 0.83 s at 1024). In-strip pairs are kept in
-an LRU cache keyed by (s, context), so the residue's calls at γ and
-γ + 1 cost no pass. With the bundled zeros the pass never runs at
-|ℑ s| > 237: no command or benchmark workload reaches the edge ℜ s = bits
-or |ℑ s| = :data:`BORWEIN_MAX_HEIGHT`, which only the tests check.
+1.4–15 ms). A bundled zero costs the program one pass at up to 213 bits:
+its seed already holds the working precision, so the pass is the check
+at the refined t (:func:`zeta_with_derivative` with ``shifted=True``),
+which also sums s + 1 from the same powers and weights. That pass gives
+the ζ′(γ) that c_γ divides by and the ζ(γ+1) of its residue, for less
+than two passes of their own (best of five over the first 25 zeros:
+39 ms against 30 + 33 ms at 192 bits, 0.82 s against 0.65 + 0.83 s at
+1024). A seed good to fewer bits first climbs Newton's ladder, one pass
+per rung. Pass results are kept in an LRU cache keyed by (s, context),
+so the residue's calls at γ and γ + 1 cost no pass. With the bundled
+zeros the pass never runs at |ℑ s| > 237: no command or benchmark
+workload reaches the edge ℜ s = bits or |ℑ s| = :data:`BORWEIN_MAX_HEIGHT`,
+which only the tests check.
 
 The wrappers add four things. They raise :class:`PoleError` within
 machine tolerance of a pole instead of returning garbage. They evaluate
@@ -250,12 +252,12 @@ def _zeta_pair(s: HPComplex, shifted: bool = False) -> tuple[HPComplex, ...]:
 #: In-strip (ζ, ζ′) pairs by (s, context), least recently used first. Only
 #: the residual check's two entries are ever read again (ζ′(γ) and ζ(γ+1),
 #: by c_γ), and refine_catalog refines every zero before any c_γ is taken.
-#: A zero leaves 3 entries at 64 bits, 4 at 192 and about 6.4 at 1024
-#: (ladder pairs, then γ and γ + 1 from the check; measured on the first
-#: 25 zeros), 0.7–1.2 KB each, so 4096 entries (at most ~5 MB) keep the
-#: hits for catalogs of up to 640 (1024 bits) to 1300 (64 bits) zeros. A
-#: larger catalog loses them: each c_γ then pays two passes of its own, as
-#: without the cache, and gets values within the same error bound.
+#: A bundled zero leaves 2 entries at 64 and 192 bits (γ and γ + 1 from the
+#: check) and 5 at 1024 (three ladder pairs, then the check; measured on
+#: the first 25 zeros), 0.7–1.2 KB each, so 4096 entries (at most ~5 MB)
+#: keep the hits for catalogs of up to 800 (1024 bits) to 2000 (64 bits)
+#: zeros. A larger catalog loses them: each c_γ then pays two passes of
+#: its own, as without the cache, and gets values within the same error bound.
 _pass_cache: OrderedDict = OrderedDict()
 _PASS_CACHE_SIZE = 4096
 
@@ -316,24 +318,18 @@ def zeta_derivative(s, ctx: PrecisionContext = PrecisionContext()) -> HPComplex:
     return _zeta(s, ctx, (1,))[0]
 
 
-def zeta_at_zero(s, ctx: PrecisionContext = PrecisionContext()) -> HPComplex:
-    """ζ(s) for the check at a refined zero γ = s, with the contract of :func:`complex_zeta`.
-
-    In the strip its one pass also sums s + 1, and caches (ζ, ζ′) at s and
-    at s + 1: the zero's c_γ then reads ζ′(γ) and ζ(γ + 1) from the cache.
-    Elsewhere it is ``mp.zeta`` at s alone.
-    """
-    return _zeta(s, ctx, (0,), shifted=True)[0]
-
-
-def zeta_with_derivative(s, ctx: PrecisionContext = PrecisionContext()) -> tuple[HPComplex, HPComplex]:
+def zeta_with_derivative(s, ctx: PrecisionContext = PrecisionContext(),
+                         shifted: bool = False) -> tuple[HPComplex, HPComplex]:
     """(ζ(s), ζ′(s)) at one point, with the contract of :func:`complex_zeta`.
 
     Both come from the route that :func:`complex_zeta` and
     :func:`zeta_derivative` take at s (one Borwein pass in the strip), and
-    are bit-identical to them.
+    are bit-identical to them. shifted, for the check at a refined zero
+    γ = s: in the strip the one pass also sums s + 1, and caches (ζ, ζ′) at
+    s and at s + 1, so the zero's c_γ reads ζ′(γ) and ζ(γ + 1) from the
+    cache. Elsewhere it changes nothing.
     """
-    return _zeta(s, ctx, (0, 1))
+    return _zeta(s, ctx, (0, 1), shifted)
 
 
 @functools.lru_cache(maxsize=None)

@@ -2,39 +2,43 @@
 
 Zeros are stored by their positive imaginary part t only (the conjugate
 at -t is implicit; downstream oscillation sums double real parts). A
-bundled table ships the first 100 zeros to 20 decimal places as Newton
-seeds, and :func:`refine_zero` polishes any seed to working precision, so
-results never depend on the seed table's accuracy.
+bundled table ships the first 100 zeros to 75 significant digits (about
+245 bits) as Newton seeds. A seed's digits choose only where
+:func:`refine_zero` starts; every t it returns passed a check at the
+working precision, so results never depend on the seed table's accuracy.
 
 Refinement is Newton's method on a precision ladder (Brent & Zimmermann,
 *Modern Computer Arithmetic*, 2010, §4.2): each step roughly doubles the
 bits of t that are right, so each step evaluates ζ and ζ′ at only about
 twice the bits the iterate already has, and only the last one at the
-full working precision.
+full working precision. A seed that already holds the working precision
+takes no step: its one pass is the check.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 from typing import Iterable
 
 import mpmath as mp
 
-from .precision import GUARD_BITS, MIN_BITS, HPReal, PrecisionContext
-from .special import zeta_at_zero, zeta_derivative, zeta_with_derivative
+from .precision import GUARD_BITS, MIN_BITS, PLAIN_DECIMAL, HPReal, PrecisionContext
+from .special import BORWEIN_MAX_HEIGHT, complex_zeta, zeta_with_derivative
 
 #: After refinement, |ζ(1/2 + i t)| <= 2**(RESIDUAL_MARGIN - bits) plus the
-#: |ζ′| |Δt| that rounding t to bits adds (see :func:`refine_zero`).
+#: |ζ′| |δ| that rounding t to bits leaves (see :func:`refine_zero`).
 RESIDUAL_MARGIN = 24
 
 MAX_NEWTON_ITERATIONS = 60
 
-#: Bits a Newton step falls short of doubling (the first zeros lose 6-8)
-#: and the first rung's height above half the working precision.
+#: Bits a Newton step falls short of doubling (the first zeros lose 6-8),
+#: and each rung's height above half the next: W, W/2 + 8, W/4 + 12, ...
 LADDER_MARGIN = 8
 
-#: Zero tables are parsed at 256 bits, far past their 20 decimal places.
+#: Zero tables are parsed at 256 bits, which hold the bundled 75 digits
+#: (about 245 bits); a seed is taken to hold at most this many bits.
 _TABLE_PRECISION = PrecisionContext(256)
 
 
@@ -50,15 +54,18 @@ class NonConvergenceError(ArithmeticError):
 class ZetaZero:
     """A zero 1/2 + i t with t > 0; `bits` is the precision t was refined at.
 
-    A seed from a zero table has ``bits=None``. :func:`refine_catalog` is
-    the only place where a zero is refined: every consumer of t, the
-    residue coefficients included, takes its zeros through it, and it
-    refines again every zero whose `bits` differ from the working
-    precision, so a t refined at one precision is never used at another.
+    A seed from a zero table has ``bits=None``, and `seed_bits`, the bits
+    its d decimal places hold (log2(t/10^-d), at most 256): they choose
+    where refinement starts and take no part in equality.
+    :func:`refine_catalog` is the only place where a zero is refined: every
+    consumer of t, the residue coefficients included, takes its zeros
+    through it, and it refines again every zero whose `bits` differ from the
+    working precision, so a t refined at one precision is never used at another.
     """
 
     t: HPReal
     bits: int | None = None
+    seed_bits: int | None = field(default=None, compare=False)
 
 
 def load_zeros(path) -> list[ZetaZero]:
@@ -71,7 +78,7 @@ def load_zeros(path) -> list[ZetaZero]:
 
 
 def bundled_zeros() -> list[ZetaZero]:
-    """The packaged table of the first 100 zeros (20 decimal places)."""
+    """The packaged table of the first 100 zeros (75 significant digits)."""
     text = resources.files("npcount.data").joinpath("zeta_zeros.txt").read_text("utf-8")
     return _parse_zero_table(text, "<bundled>")
 
@@ -79,24 +86,27 @@ def bundled_zeros() -> list[ZetaZero]:
 def _parse_zero_table(text: str, origin: str) -> list[ZetaZero]:
     zeros: list[ZetaZero] = []
     prev = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        try:
-            t = _TABLE_PRECISION.real(line)
-        except ValueError:
-            raise ZeroFileError(f"{origin}:{lineno}: not a decimal number: {line!r}") from None
-        if not t > 0:
-            raise ZeroFileError(f"{origin}:{lineno}: t must be positive, got {line!r}")
-        if prev is not None and not t > prev:
-            raise ZeroFileError(f"{origin}:{lineno}: values must be strictly increasing")
-        zeros.append(ZetaZero(t))
-        prev = t
+    with _TABLE_PRECISION.final():
+        for lineno, raw in enumerate(text.splitlines(), start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if not PLAIN_DECIMAL.fullmatch(line):
+                raise ZeroFileError(f"{origin}:{lineno}: not a decimal number: {line!r}")
+            t = mp.mpf(line)
+            if not t > 0:
+                raise ZeroFileError(f"{origin}:{lineno}: t must be positive, got {line!r}")
+            if prev is not None and not t > prev:
+                raise ZeroFileError(f"{origin}:{lineno}: values must be strictly increasing")
+            mantissa, _, exponent = line.lower().partition("e")
+            places = len(mantissa.partition(".")[2]) - int(exponent or 0)
+            held = mp.mag(t) - 1 + math.floor(places * math.log2(10))  # t / 10^-places >= 2^held
+            zeros.append(ZetaZero(t, seed_bits=min(held, _TABLE_PRECISION.bits)))
+            prev = t
     return zeros
 
 
-def _refine_history(t0, ctx: PrecisionContext) -> tuple[HPReal, list[HPReal]]:
+def _refine_history(t0, ctx: PrecisionContext, seed_bits: int | None = None) -> tuple[HPReal, list[HPReal]]:
     """Newton-iterate t -> t - Re[ζ / (i ζ′)] at s = 1/2 + i t; returns (t, residuals).
 
     residuals holds |ζ| at each iterate, the last one from the check at the
@@ -104,59 +114,69 @@ def _refine_history(t0, ctx: PrecisionContext) -> tuple[HPReal, list[HPReal]]:
     """
     full = ctx.bits + GUARD_BITS
     floor = MIN_BITS + GUARD_BITS
+    # bits t holds; a seed of unknown accuracy is taken to feed W/2 + 8
+    good = seed_bits if seed_bits is not None else (full // 2 + LADDER_MARGIN + 1) // 2
+    prec = full
+    while prec > floor and 2 * good < prec:
+        prec = max(floor, prec // 2 + LADDER_MARGIN)
+    check = good >= full
     with ctx.working():
         t = mp.mpf(t0)
         target = mp.mpf(2) ** (RESIDUAL_MARGIN - ctx.bits)
         half = mp.mpf(1) / 2
         residuals: list[HPReal] = []
-        prec = max(floor, full // 2 + LADDER_MARGIN)
+        zd = None
         for _ in range(MAX_NEWTON_ITERATIONS):
-            z, zd = zeta_with_derivative(mp.mpc(half, t), PrecisionContext(prec - GUARD_BITS))
+            if check:  # a step at W from the rounded t, which accepts it or corrects it
+                t = ctx.round(t)
+            s = mp.mpc(half, t)
+            if check and zd is not None and t > BORWEIN_MAX_HEIGHT:
+                z = complex_zeta(s, ctx)  # ζ′ is a call of its own here: keep the step's
+            else:
+                z, zd = zeta_with_derivative(s, PrecisionContext(prec - GUARD_BITS), shifted=check)
             residuals.append(abs(z))
             step = mp.re(z / (mp.mpc(0, 1) * zd))
+            if check and abs(z) <= target + abs(zd) * abs(step) and ctx.round(t - step) == t:
+                return t, residuals
             t -= step
             good = mp.mag(t) - mp.mag(step) if step else prec  # bits t had before the step
-            if prec == full and 2 * good >= full:
-                rounded = ctx.round(t)
-                s = mp.mpc(half, rounded)
-                r = abs(zeta_at_zero(s, ctx))
-                residuals.append(r)
-                # rounding alone moves |ζ| by about |ζ′| |rounded - t|, which no
-                # further step removes once |ζ′| t >~ 2^24; ζ′ only if ζ misses
-                if r <= target or r <= target + abs(zeta_derivative(s, ctx)) * abs(rounded - t):
-                    return rounded, residuals
+            check = prec == full and 2 * good >= full
             prec = min(full, max(floor, 2 * (min(2 * good, prec) - LADDER_MARGIN)))
         raise NonConvergenceError(
             f"zero refinement from t0={mp.nstr(mp.mpf(t0), 12)} did not reach "
             f"|zeta| <= 2^{RESIDUAL_MARGIN - ctx.bits} in {MAX_NEWTON_ITERATIONS} iterations")
 
 
-def refine_zero(t0, ctx: PrecisionContext = PrecisionContext()) -> HPReal:
-    """Refine a seed t0 (accurate to ~1e-3) to |ζ(1/2 + i t)| <= 2**(24 - bits) + |ζ′| |Δt|.
+def refine_zero(t0, ctx: PrecisionContext = PrecisionContext(), seed_bits: int | None = None) -> HPReal:
+    """Refine a seed t0 until |ζ(1/2 + i t)| <= 2**(24 - bits) + |ζ′| |δ| and t - δ rounds to t.
 
-    Each step evaluates ζ and ζ′ at its own precision w, and t is carried
-    at the working precision W = bits + guard. The first step runs at
-    w = W/2 + 8. A step whose correction is δ started from a t good to
-    g = log2(t/|δ|) bits and leaves it good to min(2g - 8, w - 3) bits (as
-    measured at the bundled zeros, which lose 6 to 8 bits to the Newton
-    constant), so the next step runs at w = 2 (min(2g, w) - 8), capped at W.
-    A step at W from g >= W/2 is the last: it leaves an error of about
-    K δ² <= K t² 2^-W, K = |ζ″/2ζ′|, so t is good to W - log2(K t)
-    >= bits + 24 bits at the bundled zeros before it is rounded to bits.
-    One pass at W then checks the t it returns, t rounded to bits: it
-    accepts when |ζ(1/2 + i t)| <= 2**(24 - bits) + |ζ′| |Δt|, where Δt is
-    the rounding of the W-bit iterate. The second term is the residual
-    that rounding alone leaves, about |ζ′| t 2^-bits; it is below 2**(24 -
-    bits) at the bundled zeros, so there the check reads ζ alone, but not
-    once |ζ′| t >~ 2^24 (near t = 1.6e6 with |ζ′| = 26), where no further
-    step could lower it. A t that fails the check takes further steps at
-    W. The check's pass (:func:`~npcount.special.zeta_at_zero`) also sums
-    s + 1 from the same powers table, so it leaves ζ′ at the returned t and
-    ζ at 3/2 + i t in the kernel's cache, and the zero's c_γ reads both
-    there: a bundled zero costs three passes, two Newton steps and the
-    check. Above the strip the check and c_γ use mpmath's ζ instead.
+    seed_bits is what t0 holds, log2(t0/|t0 - t|). t is carried at the
+    working precision W = bits + guard, and each Newton step evaluates ζ
+    and ζ′ at its own precision w. A step from a t good to g = log2(t/|δ|)
+    bits, δ its correction, leaves t good to min(2g - 8, w - 3) bits (the
+    bundled zeros lose 6 to 8 bits to the Newton constant). So the rungs
+    are planned downward from W (W, W/2 + 8, W/4 + 12, ..., at least 96):
+    a seed starts at the highest rung w <= 2g, and each step's successor is
+    w = 2 (min(2g, w) - 8), capped at W. A seed of unknown accuracy
+    (seed_bits None) starts at W/2 + 8, from which a t already refined
+    takes one step at W and the check. A step at W from g >= W/2 leaves t
+    good to W - log2(K t) >= bits + 24 bits at the bundled zeros, K =
+    |ζ″/2ζ′|.
+
+    Then the check, a step at W from t rounded to bits: it accepts the
+    rounded t when |ζ| <= 2**(24 - bits) + |ζ′| |δ|, δ its own correction,
+    and t - δ rounds back to t; otherwise the iteration goes on from t - δ.
+    The term |ζ′| |δ| is the residual that rounding alone leaves, which
+    exceeds 2**(24 - bits) once |ζ′| t >~ 2^24 (near t = 1.6e6). A seed
+    good to W bits goes straight to the check: a bundled seed (about 245
+    bits) costs this one pass up to 213 bits, a 20-decimal seed three at
+    192 bits. The check's pass (``zeta_with_derivative(..., shifted=True)``)
+    also sums s + 1, and caches ζ′(γ) and ζ(γ + 1) for the zero's c_γ.
+    Above the strip, where mpmath's ζ′ is a call of its own, a check that
+    follows a step takes that step's ζ′ for δ: it was evaluated within
+    t 2^(-W/2) of the rounded t, close enough for a correction of t 2^-bits.
     """
-    return _refine_history(t0, ctx)[0]
+    return _refine_history(t0, ctx, seed_bits)[0]
 
 
 def refine_catalog(zeros: Iterable[ZetaZero], ctx: PrecisionContext = PrecisionContext()) -> list[ZetaZero]:
@@ -167,7 +187,8 @@ def refine_catalog(zeros: Iterable[ZetaZero], ctx: PrecisionContext = PrecisionC
     :class:`NonConvergenceError` naming both seeds and the t they reached.
     """
     seeds = list(zeros)
-    out = [z if z.bits == ctx.bits else ZetaZero(refine_zero(z.t, ctx), ctx.bits) for z in seeds]
+    out = [z if z.bits == ctx.bits else ZetaZero(refine_zero(z.t, ctx, z.seed_bits), ctx.bits)
+           for z in seeds]
     for i in range(1, len(out)):
         if not out[i - 1].t < out[i].t:
             raise NonConvergenceError(

@@ -9,6 +9,14 @@ sys.path.insert(0, str(Path(__file__).parent))
 from npcount import PrecisionContext, SlopeRange, bundled_zeros, count_series, refine_catalog
 from npcount import special
 
+BUNDLED = Path(special.__file__).parent / "data" / "zeta_zeros.txt"
+
+
+def bundled_table(places=None):
+    """The bundled table's lines, each t truncated to that many decimal places if given."""
+    lines = [line for line in BUNDLED.read_text("utf-8").splitlines() if not line.startswith("#")]
+    return [line if places is None else line[:line.index(".") + 1 + places] for line in lines]
+
 
 @pytest.fixture(autouse=True)
 def fresh_pass_cache():
@@ -38,6 +46,14 @@ def first25():
     def refined(bits):
         return refine_catalog(bundled_zeros()[:25], PrecisionContext(bits))
     return refined
+
+
+@pytest.fixture(scope="session")
+def zero_file_20(tmp_path_factory):
+    """A --zero-file with the bundled zeros truncated to 20 decimal places."""
+    path = tmp_path_factory.mktemp("zeros") / "zeros20.txt"
+    path.write_text("\n".join(bundled_table(20)) + "\n")
+    return path
 
 
 @pytest.fixture(scope="session")

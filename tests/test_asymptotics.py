@@ -113,17 +113,36 @@ class TestResidueCoefficients:
         mods = [abs(c) for _, c in amod._zero_terms(catalog[:30], ctx)]
         assert all(a > b for a, b in zip(mods, mods[1:]))
 
-    def test_three_passes_per_zero(self, monkeypatch):
-        # two Newton pairs, then the residual check, whose pass also sums γ + 1:
-        # c_γ reads its ζ′(γ) and ζ(γ+1) back; every pass builds one powers table
+    @staticmethod
+    def _passes(monkeypatch):
+        """Per pass, in order: whether it also summed s + 1; each pass builds one powers table."""
         amod._coefficient.cache_clear()
         tables, build = [], special._powers
         monkeypatch.setattr(special, "_powers", lambda n, *rest: tables.append(n) or build(n, *rest))
         shifted, run_pass = [], special._zeta_pair
         monkeypatch.setattr(special, "_zeta_pair",
                             lambda s, *rest: shifted.append(rest == (True,)) or run_pass(s, *rest))
-        ctx = PrecisionContext(192)
+        return tables, shifted
+
+    @pytest.mark.parametrize("bits", [64, 192])
+    def test_one_pass_per_bundled_zero(self, monkeypatch, bits):
+        # the bundled seed holds the working precision: its one pass is the
+        # check, which also sums γ + 1, and c_γ reads its ζ′(γ) and ζ(γ+1) back
+        tables, shifted = self._passes(monkeypatch)
+        ctx = PrecisionContext(bits)
         for seed in bundled_zeros()[:25]:
+            tables.clear()
+            shifted.clear()
+            amod._zero_terms(refine_catalog([seed], ctx), ctx)
+            assert len(tables) == 1, seed.t
+            assert shifted == [True], seed.t
+
+    def test_three_passes_per_zero(self, monkeypatch, zero_file_20):
+        # a 20-decimal seed: two Newton pairs, then the residual check, whose
+        # pass also sums γ + 1: c_γ reads its ζ′(γ) and ζ(γ+1) back
+        tables, shifted = self._passes(monkeypatch)
+        ctx = PrecisionContext(192)
+        for seed in load_zeros(zero_file_20)[:25]:
             tables.clear()
             shifted.clear()
             amod._zero_terms(refine_catalog([seed], ctx), ctx)

@@ -1,6 +1,7 @@
 import mpmath as mp
 import pytest
 
+import npcount.asymptotics as amod
 import npcount.zeros as zmod
 
 from npcount import (
@@ -14,9 +15,12 @@ from npcount import (
     refine_zero,
     zeta_with_derivative,
 )
-from npcount.zeros import _refine_history
+from npcount import special
+from npcount.precision import GUARD_BITS
+from npcount.zeros import _TABLE_PRECISION, _refine_history
 
 import golden
+from conftest import bundled_table
 
 
 class TestLoading:
@@ -60,6 +64,19 @@ class TestLoading:
         with pytest.raises(OSError):
             load_zeros(tmp_path / "nope.txt")
 
+    def test_seed_bits_count_the_digits_after_the_point(self, tmp_path):
+        # t / 10^-d >= 2^seed_bits, d the places after the point less the exponent
+        f = tmp_path / "zeros.txt"
+        f.write_text("14.1347\n2.10220e1\n25\n")
+        zs = load_zeros(f)
+        assert [z.seed_bits for z in zs] == [3 + 13, 4 + 13, 4]
+        assert zs[0] == ZetaZero(zs[0].t) and hash(zs[0]) == hash(ZetaZero(zs[0].t))  # not compared
+
+    def test_one_context_parses_as_each_line_alone(self):
+        want = [_TABLE_PRECISION.real(line) for line in bundled_table()]
+        assert [z.t for z in bundled_zeros()] == want
+        assert min(z.seed_bits for z in bundled_zeros()) >= 245
+
     def test_bundled_catalog(self):
         zs = bundled_zeros()
         assert len(zs) == 100
@@ -93,6 +110,22 @@ class TestRefinement:
             assert z.t == ctx.round(want)
             s = mp.mpc(mp.mpf(1) / 2, z.t)
             assert abs(mp.zeta(s)) > mp.mpf(2) ** (24 - ctx.bits)
+
+    def test_check_above_the_strip_takes_zeta_alone(self, tmp_path, monkeypatch):
+        # there mpmath's ζ′ is a call of its own: the check takes its δ from
+        # the ζ′ of the step before it, and still returns the rounded zero
+        calls = []
+        for name in ("zeta_with_derivative", "complex_zeta"):
+            fn = getattr(zmod, name)
+            monkeypatch.setattr(zmod, name, lambda *a, _n=name, _f=fn, **k: calls.append(_n) or _f(*a, **k))
+        f = tmp_path / "above.txt"
+        f.write_text("2000.43451530243224677689\n")
+        ctx = PrecisionContext(64)
+        [seed] = load_zeros(f)
+        t = refine_zero(seed.t, ctx, seed.seed_bits)
+        assert calls == ["zeta_with_derivative", "complex_zeta"]
+        with mp.workprec(200):
+            assert t == ctx.round(mp.mpf("2000.4345153024322467768943364706327875"))
 
     def test_residuals_quadratic(self, ctx):
         _, residuals = _refine_history("21.0220", ctx)
@@ -150,20 +183,53 @@ class TestLadder:
     @pytest.mark.parametrize("bits", [192, 1024])
     def test_one_full_precision_step_per_zero(self, monkeypatch, bits):
         calls = []
+        pair = zmod.zeta_with_derivative
 
-        def counted(name, fn):
-            def wrapped(s, ctx):
-                calls.append((name, ctx.bits))
-                return fn(s, ctx)
-            return wrapped
+        def counted(s, ctx, shifted=False):
+            calls.append(("check" if shifted else "pair", ctx.bits))
+            return pair(s, ctx, shifted=shifted)
 
-        monkeypatch.setattr(zmod, "zeta_with_derivative",
-                            counted("pair", zmod.zeta_with_derivative))
-        monkeypatch.setattr(zmod, "zeta_at_zero", counted("check", zmod.zeta_at_zero))
+        monkeypatch.setattr(zmod, "zeta_with_derivative", counted)
         ctx = PrecisionContext(bits)
         for z in bundled_zeros()[:25]:
             calls.clear()
-            refine_zero(z.t, ctx)
+            refine_zero(z.t, ctx, z.seed_bits)
             assert calls.count(("pair", bits)) <= 1
             assert calls.count(("check", bits)) == 1
             assert calls[-1] == ("check", bits)
+
+
+class TestSeeds:
+    """The seed's digits choose where refinement starts; the result never depends on them."""
+
+    @pytest.mark.parametrize("bits,count", [(64, 100), (192, 25)])
+    def test_one_pass_route_matches_twenty_decimals(self, zero_file_20, bits, count):
+        ctx = PrecisionContext(bits)
+        terms = []
+        for seeds in (bundled_zeros()[:count], load_zeros(zero_file_20)[:count]):
+            special._pass_cache.clear()
+            amod._coefficient.cache_clear()
+            terms.append(amod._zero_terms(seeds, ctx))
+        assert terms[0] == terms[1]
+
+    @pytest.mark.parametrize("bits", [64, 192])
+    def test_digits_that_hold_nothing_cost_at_most_one_pass(self, tmp_path, monkeypatch, zero_file_20,
+                                                            first25, bits):
+        # each entry has 75 digits, all after the 20th decimal set to 0: the
+        # seed claims far more bits than it holds, and the check catches it
+        padded = tmp_path / "padded.txt"
+        padded.write_text("".join(s + "0" * (len(f) - len(s)) + "\n"
+                                  for f, s in zip(bundled_table(), bundled_table(20))))
+        ctx, want = PrecisionContext(bits), first25(bits)
+        tables, build = [], special._powers  # one powers table per pass
+        monkeypatch.setattr(special, "_powers", lambda n, *rest: tables.append(n) or build(n, *rest))
+        for i in (0, 1, 24):
+            costs = []
+            for path in (padded, zero_file_20):
+                seed = load_zeros(path)[i]
+                special._pass_cache.clear()
+                tables.clear()
+                assert refine_catalog([seed], ctx) == want[i:i + 1]
+                costs.append(len(tables))
+            assert load_zeros(padded)[i].seed_bits > ctx.bits + GUARD_BITS
+            assert costs[0] <= costs[1] + 1, costs
