@@ -243,14 +243,27 @@ def _logf_tau_floor(cutoff: HPReal, cap: int) -> str:
     return f"{float(mp.ceil(hi / step) * step):.3g}"
 
 
+#: The largest [0, 1) weight table built so far, b(0..len - 1), kept until
+#: a longer one is needed. Checks taken in ascending τ build one table.
+_weights: list[int] = []
+
+
+def _logf_weights(n_max: int) -> list[int]:
+    """b(0..M) for some M >= n_max: the kept table, or a new one kept in its place."""
+    global _weights
+    if len(_weights) <= n_max:
+        _weights = []  # free the old table before the new one is built
+        _weights = log_derivative_weights(SlopeRange.HALF_OPEN_01, n_max)
+    return _weights
+
+
 def logf_expansion_check(tau, zeros: Sequence[ZetaZero] = (),
                          ctx: PrecisionContext = PrecisionContext()) -> ExpansionCheck:
     """Compare log f(e^(-τ)) computed two ways, for 0 < τ <= 1.
 
     direct:    log f(x) = Σ_n φ(n) Σ_j x^(jn)/j = Σ_{N>=1} (b(N)/N) x^N at
                x = e^(-τ), with b(N) = Σ_{d|N} d φ(d) the [0, 1) counting
-               weights, ``log_derivative_weights(SlopeRange.HALF_OPEN_01, M)``
-               (:func:`npcount.counting.log_derivative_weights`);
+               weights of :func:`npcount.counting.log_derivative_weights`;
     expansion: (C/2) τ^(-2) + Σ_γ 2 Re(c_γ τ^(-γ)) - (1/6) log τ + log K
                (the τ^(-2) residue, the zero oscillation, and the
                double-pole residue at 0);
@@ -263,6 +276,8 @@ def logf_expansion_check(tau, zeros: Sequence[ZetaZero] = (),
     Z = 33/20 > ζ(2). M is known before any summing, so a τ that would
     need more than ``_DIRECT_SUM_MAX_TERMS`` terms raises
     :class:`TruncationError` at once, naming the smallest τ that fits.
+    The weights b(1..M) come from the largest table built so far, which a
+    τ needing more terms replaces: checks taken in ascending τ build one.
 
     The M terms are summed in fixed point at P = bits + guard + 3 L + 2
     bits, L = bit length of M: X = round(x 2^P), x^N is carried as
@@ -298,7 +313,7 @@ def logf_expansion_check(tau, zeros: Sequence[ZetaZero] = (),
         prec = ctx.bits + GUARD_BITS + 3 * n_max.bit_length() + 2
         with mp.workprec(prec + 8):
             X = int(mp.nint(mp.ldexp(mp.exp(-tau), prec)))
-        b = log_derivative_weights(SlopeRange.HALF_OPEN_01, n_max)
+        b = _logf_weights(n_max)
         acc = 0
         xn = X
         for N in range(1, n_max + 1):

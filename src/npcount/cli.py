@@ -182,16 +182,11 @@ def _rows_logf(args, ctx):
             raise UsageError(f"--tau must be in (0, 1], got {text}")
         taus.append(tau)
     zeros = refine_catalog(_first_zeros(args), ctx)
-    rows = []
-    for tau in taus:
-        chk = logf_expansion_check(tau, zeros, ctx)
-        rows.append({
-            "tau": mp.nstr(chk.tau, args.digits),
-            "direct": mp.nstr(chk.direct, args.digits),
-            "expansion": mp.nstr(chk.expansion, args.digits),
-            "residual": mp.nstr(chk.residual, args.digits),
-        })
-    return ["tau", "direct", "expansion", "residual"], rows
+    # smallest τ first: it needs the most terms, so its weight table serves every τ
+    checks = {tau: logf_expansion_check(tau, zeros, ctx) for tau in sorted(set(taus))}
+    columns = ["tau", "direct", "expansion", "residual"]
+    return columns, [{col: mp.nstr(getattr(checks[tau], col), args.digits) for col in columns}
+                     for tau in taus]
 
 
 # ---------------------------------------------------------------------------

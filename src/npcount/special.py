@@ -10,9 +10,10 @@ its own:
   fixed-point pass of Borwein's algorithm that sums η and η′ together
   (:func:`_zeta_pair`); elsewhere they are ``mp.zeta(s, derivative=k)``;
 * :func:`bernoulli_even` is ``mp.bernfrac``;
-* :func:`constant_C` and :func:`constant_K` are ``mp.zeta`` at 3, 2 and -1;
-  at the integers 3 and 2 mpmath divides by (k+1)^s in integers, over ten
-  times faster than the pass, and caches the value.
+* :func:`constant_C` is ``mp.zeta`` at 3 and 2, where mpmath divides by
+  (k+1)^s in integers, over ten times faster than the pass, and caches the
+  value; :func:`constant_K` takes ζ′(2) from the pass (one pass at t = 0,
+  3-4 ms cold at 224 bits, where mpmath's ζ′(-1) took 14-17 ms).
 
 mpmath takes ζ′ from Euler–Maclaurin sums on ``mpc`` objects, at 1.5 to 5
 times the cost of its fixed-point Borwein ζ at the same point; the pass,
@@ -55,7 +56,7 @@ from mpmath.libmp import isqrt_fast, ln2_fixed, log_int_fixed, pi_fixed, to_fixe
 from mpmath.libmp.libelefun import cos_sin_fixed, exp_fixed
 
 from .counting import smallest_prime_factors
-from .precision import HPComplex, HPReal, PrecisionContext
+from .precision import GUARD_BITS, HPComplex, HPReal, PrecisionContext
 
 
 #: Largest |ℑ s| at which ζ and ζ′ come from the Borwein pass, whose term
@@ -334,10 +335,18 @@ def zeta_with_derivative(s, ctx: PrecisionContext = PrecisionContext(),
 
 @functools.lru_cache(maxsize=None)
 def _constants(bits: int) -> tuple[HPReal, HPReal]:
+    """(C, K); log K = -2 ζ′(-1) - log(2π)/6 = (γ_E - 1 - ζ′(2)/ζ(2))/6.
+
+    The second form follows from ζ′(-1) = 1/12 - log A and
+    ζ′(2)/ζ(2) = γ_E + log 2π - 12 log A (A Glaisher's constant). ζ′(2)
+    is one pass at t = 0, taken at bits + guard so K rounds as from ζ′(-1).
+    """
     ctx = PrecisionContext(bits)
     with ctx.working():
-        c = 2 * mp.zeta(3) / mp.zeta(2)
-        k = mp.exp(-2 * mp.zeta(-1, derivative=1) - mp.log(2 * mp.pi) / 6)
+        z2 = mp.zeta(2)
+        c = 2 * mp.zeta(3) / z2
+        zd2 = mp.re(zeta_derivative(2, PrecisionContext(bits + GUARD_BITS)))
+        k = mp.exp((mp.euler - 1 - zd2 / z2) / 6)
         return ctx.round(c), ctx.round(k)
 
 

@@ -55,8 +55,9 @@ class ZetaZero:
     """A zero 1/2 + i t with t > 0; `bits` is the precision t was refined at.
 
     A seed from a zero table has ``bits=None``, and `seed_bits`, the bits
-    its d decimal places hold (log2(t/10^-d), at most 256): they choose
-    where refinement starts and take no part in equality.
+    its d decimal places hold (log2(t/10^-d), at most 256); a refined zero
+    has ``seed_bits=bits``. They choose where refinement starts and take no
+    part in equality.
     :func:`refine_catalog` is the only place where a zero is refined: every
     consumer of t, the residue coefficients included, takes its zeros
     through it, and it refines again every zero whose `bits` differ from the
@@ -187,7 +188,8 @@ def refine_catalog(zeros: Iterable[ZetaZero], ctx: PrecisionContext = PrecisionC
     :class:`NonConvergenceError` naming both seeds and the t they reached.
     """
     seeds = list(zeros)
-    out = [z if z.bits == ctx.bits else ZetaZero(refine_zero(z.t, ctx, z.seed_bits), ctx.bits)
+    out = [z if z.bits == ctx.bits
+           else ZetaZero(refine_zero(z.t, ctx, z.seed_bits), ctx.bits, seed_bits=ctx.bits)
            for z in seeds]
     for i in range(1, len(out)):
         if not out[i - 1].t < out[i].t:

@@ -147,6 +147,45 @@ class TestLogfCheck:
         assert "the smallest tau that fits at 192 bits is 3.63e-05" in err
         assert "Traceback" not in err
 
+    TAUS = ("0.5", "0.05", "0.25")
+    TAU_ARGS = ("--tau", "0.5", "--tau", "0.05", "--tau", "0.25")
+
+    @staticmethod
+    def count_tables(monkeypatch):
+        """The term counts of the weight tables built from here on, with none kept before."""
+        sizes, build = [], amod.log_derivative_weights
+        monkeypatch.setattr(amod, "_weights", [])
+        monkeypatch.setattr(amod, "log_derivative_weights",
+                            lambda family, limit: sizes.append(limit) or build(family, limit))
+        return sizes
+
+    def test_one_weight_table_per_run(self, capsys, monkeypatch):
+        sizes = self.count_tables(monkeypatch)
+        assert run(capsys, "logf-check", *self.TAU_ARGS, "--k-zeros", "0")[0] == EXIT_OK
+        assert sizes == [logf_expansion_check("0.05", (), PrecisionContext(192)).terms]
+
+    def test_rows_in_input_order_as_single_runs(self, capsys, monkeypatch):
+        code, out, _ = run(capsys, "logf-check", *self.TAU_ARGS, "--k-zeros", "2")
+        singles = []
+        for tau in self.TAUS:
+            monkeypatch.setattr(amod, "_weights", [])  # each builds a table of its own length
+            single = run(capsys, "logf-check", "--tau", tau, "--k-zeros", "2")
+            assert single[0] == EXIT_OK
+            singles.append(single[1].splitlines()[1])
+        assert code == EXIT_OK
+        assert out.splitlines()[1:] == singles
+
+    def test_taus_over_the_cap_name_the_smallest_before_any_table(self, capsys, monkeypatch):
+        # 0.5 fits in 1000 terms at 192 bits, 0.05 and 0.02 do not
+        sizes = self.count_tables(monkeypatch)
+        monkeypatch.setattr(amod, "_DIRECT_SUM_MAX_TERMS", 1000)
+        code, out, err = run(capsys, "logf-check", "--tau", "0.5", "--tau", "0.05",
+                             "--tau", "0.02", "--k-zeros", "0")
+        assert code == EXIT_NUMERIC
+        assert out == ""
+        assert "direct sum at tau=0.02 needs more than 1000 terms" in err
+        assert sizes == []
+
     def test_reported_tau_floor_is_tight(self, capsys, monkeypatch):
         ctx = PrecisionContext(192)
         monkeypatch.setattr(amod, "_DIRECT_SUM_MAX_TERMS", 1000)

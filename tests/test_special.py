@@ -226,6 +226,16 @@ class TestConstants:
             want = mp.exp(-2 * mp.re(zeta_derivative(-1, CTX)) - mp.log(2 * mp.pi) / 6)
             assert rel(constant_K(CTX), want) < mp.mpf(2) ** (16 - BITS)
 
+    @pytest.mark.parametrize("bits", [64, 96, 192, 224, 1024, 1056])
+    def test_within_contract_of_mpmath(self, bits):
+        # bits + 32 is the wide context logf_expansion_check takes C and K at
+        ctx = PrecisionContext(bits)
+        with mp.workprec(bits + 64):
+            want_c = 2 * mp.zeta(3) / mp.zeta(2)
+            want_k = mp.exp(-2 * mp.zeta(-1, derivative=1) - mp.log(2 * mp.pi) / 6)
+            assert rel(constant_C(ctx), want_c) <= mp.mpf(2) ** (8 - bits)
+            assert rel(constant_K(ctx), want_k) <= mp.mpf(2) ** (8 - bits)
+
 
 class TestBorweinPass:
     """ζ and ζ′ from one fixed-point Borwein pass for 1/2 <= ℜ s <= bits, |ℑ s| <= T."""

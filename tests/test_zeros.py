@@ -202,6 +202,18 @@ class TestLadder:
 class TestSeeds:
     """The seed's digits choose where refinement starts; the result never depends on them."""
 
+    def test_zero_refined_at_more_bits_is_a_seed_that_holds_them(self, monkeypatch, first25):
+        # refined at 512 bits and handed back at 192, each zero holds the
+        # working precision: its one pass is the check, as for a bundled seed
+        want, refined = first25(192), first25(512)
+        assert [z.seed_bits for z in refined] == [512] * 25
+        special._pass_cache.clear()
+        tables, build = [], special._powers  # one powers table per pass
+        monkeypatch.setattr(special, "_powers", lambda n, *rest: tables.append(n) or build(n, *rest))
+        again = refine_catalog(refined, PrecisionContext(192))
+        assert len(tables) == 25
+        assert again == want
+
     @pytest.mark.parametrize("bits,count", [(64, 100), (192, 25)])
     def test_one_pass_route_matches_twenty_decimals(self, zero_file_20, bits, count):
         ctx = PrecisionContext(bits)
