@@ -210,11 +210,20 @@ def _logf_tail_bound(tau: HPReal):
     return lambda m: _ZETA2_UPPER * x ** m * (m * inv + x * inv * inv)
 
 
-def _logf_term_count(tau: HPReal, cutoff: HPReal, cap: int) -> int:
-    """Smallest M with tail(M + 1) < cutoff, or cap + 1 when M would exceed cap."""
+def logf_term_count(tau, ctx: PrecisionContext) -> int:
+    """The M terms :func:`logf_expansion_check` sums at τ; over the cap, a TruncationError."""
+    with ctx.working():
+        return _logf_term_count(mp.mpf(tau), ctx, _DIRECT_SUM_MAX_TERMS)
+
+
+@functools.lru_cache(maxsize=16)  # the CLI's gate and the check at the smallest τ share one search
+def _logf_term_count(tau: HPReal, ctx: PrecisionContext, cap: int) -> int:
+    cutoff = mp.mpf(2) ** (-(ctx.bits + GUARD_BITS))
     tail = _logf_tail_bound(tau)
     if tail(cap + 1) >= cutoff:
-        return cap + 1
+        raise TruncationError(
+            f"direct sum at tau={mp.nstr(tau, 6)} needs more than {cap} terms; "
+            f"the smallest tau that fits at {ctx.bits} bits is {_logf_tau_floor(cutoff, cap)}")
     lo, hi = 0, cap  # tail(lo + 1) >= cutoff > tail(hi + 1)
     while hi - lo > 1:
         mid = (lo + hi) // 2
@@ -273,8 +282,8 @@ def logf_expansion_check(tau, zeros: Sequence[ZetaZero] = (),
     The direct series stops after M = ``terms`` terms, the least M whose
     tail bound Z x^(M+1) ((M+1)/(1-x) + x/(1-x)²) is below
     ε = 2^(-bits-guard); the bound holds as b(N) < ζ(2) N² and
-    Z = 33/20 > ζ(2). M is known before any summing, so a τ that would
-    need more than ``_DIRECT_SUM_MAX_TERMS`` terms raises
+    Z = 33/20 > ζ(2). :func:`logf_term_count` finds M before any summing,
+    so a τ that would need more than ``_DIRECT_SUM_MAX_TERMS`` terms raises
     :class:`TruncationError` at once, naming the smallest τ that fits.
     The weights b(1..M) come from the largest table built so far, which a
     τ needing more terms replaces: checks taken in ascending τ build one.
@@ -300,14 +309,7 @@ def logf_expansion_check(tau, zeros: Sequence[ZetaZero] = (),
         tau = mp.mpf(tau)
         if not 0 < tau <= 1:
             raise ValueError("tau must be in (0, 1]")
-        cutoff = mp.mpf(2) ** (-(ctx.bits + GUARD_BITS))
-        cap = _DIRECT_SUM_MAX_TERMS
-        n_max = _logf_term_count(tau, cutoff, cap)
-        if n_max > cap:
-            raise TruncationError(
-                f"direct sum at tau={mp.nstr(tau, 6)} needs more than {cap} terms; "
-                f"the smallest tau that fits at {ctx.bits} bits is "
-                f"{_logf_tau_floor(cutoff, cap)}")
+        n_max = logf_term_count(tau, ctx)
         terms = _zero_terms(zeros, ctx)
 
         prec = ctx.bits + GUARD_BITS + 3 * n_max.bit_length() + 2

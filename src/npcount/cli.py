@@ -15,7 +15,7 @@ import sys
 
 import mpmath as mp
 
-from .asymptotics import full_estimate, logf_expansion_check, wave_sample
+from .asymptotics import full_estimate, logf_expansion_check, logf_term_count, wave_sample
 from .counting import SlopeRange, count_series
 from .precision import DEFAULT_BITS, PrecisionContext
 from .rho import rho_recurrence_table
@@ -65,20 +65,6 @@ MAX_BITS = 1024
 MAX_ZERO_HEIGHT = 10 ** 9
 
 
-def _catalog(args):
-    if args.zero_file:
-        return load_zeros(args.zero_file)
-    return bundled_zeros()
-
-
-def _refinable(zeros):
-    """zeros, unrefined, once none is above MAX_ZERO_HEIGHT (a usage error)."""
-    top = max((z.t for z in zeros), default=0)
-    if top > MAX_ZERO_HEIGHT:
-        raise UsageError(f"--zero-file entries to refine must be <= {MAX_ZERO_HEIGHT:g}, got {top}")
-    return zeros
-
-
 def _decimal(text, ctx):
     """text at ctx's precision, or None when it is not a plain decimal number."""
     try:
@@ -87,12 +73,24 @@ def _decimal(text, ctx):
         return None
 
 
-def _first_zeros(args):
-    """The first --k-zeros catalog entries, unrefined; a k outside the catalog is a usage error."""
-    zeros = _catalog(args)
-    if not 0 <= args.k_zeros <= len(zeros):
+def _zeros(args, ctx, refine=True):
+    """The first --k-zeros zeros of --zero-file or the bundled table (all when
+    k_zeros is None), refined at ctx unless refine is false.
+
+    Row producers call it after their other input checks and before any
+    other work, so a bad k, a zero over MAX_ZERO_HEIGHT (usage errors) or a
+    seed Newton cannot refine fails first.
+    """
+    zeros = load_zeros(args.zero_file) if args.zero_file else bundled_zeros()
+    if args.k_zeros is not None and not 0 <= args.k_zeros <= len(zeros):
         raise UsageError(f"--k-zeros must be in [0, {len(zeros)}], got {args.k_zeros}")
-    return _refinable(zeros[:args.k_zeros])
+    zeros = zeros[:args.k_zeros]
+    if not refine:
+        return zeros
+    top = max((z.t for z in zeros), default=0)
+    if top > MAX_ZERO_HEIGHT:
+        raise UsageError(f"--zero-file entries to refine must be <= {MAX_ZERO_HEIGHT:g}, got {top}")
+    return refine_catalog(zeros, ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -122,10 +120,9 @@ def _rows_compare(args, ctx):
     ns = sorted(set(args.n))
     if not ns or ns[0] < 1 or ns[-1] > MAX_COUNT_HEIGHT:
         raise UsageError(f"every -n must be in [1, {MAX_COUNT_HEIGHT}]")
-    seeds = _first_zeros(args)
     family = SlopeRange(args.range)
+    zeros = _zeros(args, ctx)
     series = count_series(family, ns[-1])
-    zeros = refine_catalog(seeds, ctx)
     rows = []
     with ctx.working():
         ln10 = mp.log(10)
@@ -151,7 +148,7 @@ def _rows_wave(args, ctx):
         raise UsageError(f"need finite --xmin and --xmax, plain decimal numbers with "
                          f"0 < --xmin <= --xmax <= {MAX_WAVE_X:.6g}, "
                          f"got {args.xmin!r} and {args.xmax!r}")
-    first = refine_catalog(bundled_zeros()[:1], ctx)
+    first = _zeros(args, ctx)
     rows = []
     with ctx.working():
         steps = max(args.samples - 1, 1)  # --samples 1 gives x = --xmin alone
@@ -164,9 +161,7 @@ def _rows_wave(args, ctx):
 
 
 def _rows_zeros(args, ctx):
-    zeros = _catalog(args)
-    if args.action == "refine":
-        zeros = refine_catalog(_refinable(zeros), ctx)
+    zeros = _zeros(args, ctx, refine=args.action == "refine")
     return ["index", "t"], [
         {"index": i, "t": mp.nstr(z.t, args.digits)} for i, z in enumerate(zeros, start=1)
     ]
@@ -181,7 +176,8 @@ def _rows_logf(args, ctx):
         if not 0 < tau <= 1:
             raise UsageError(f"--tau must be in (0, 1], got {text}")
         taus.append(tau)
-    zeros = refine_catalog(_first_zeros(args), ctx)
+    logf_term_count(min(taus), ctx)  # a τ over the term cap fails before any zero is refined
+    zeros = _zeros(args, ctx)
     # smallest τ first: it needs the most terms, so its weight table serves every τ
     checks = {tau: logf_expansion_check(tau, zeros, ctx) for tau in sorted(set(taus))}
     columns = ["tau", "direct", "expansion", "residual"]
@@ -247,14 +243,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--linear-x", action="store_true",
                    help="sample uniformly in x instead of log x")
-    p.set_defaults(rows=_rows_wave)
+    p.set_defaults(rows=_rows_wave, k_zeros=1, zero_file=None)  # the first bundled zero
 
     p = sub.add_parser("zeros", parents=[common],
                        help="dump or refine a zeta-zero table")
     p.add_argument("action", choices=("dump", "refine"))
     p.add_argument("--zero-file", default=None,
                    help="zero table (default: bundled first 100 zeros)")
-    p.set_defaults(rows=_rows_zeros)
+    p.set_defaults(rows=_rows_zeros, k_zeros=None)
 
     p = sub.add_parser("logf-check", parents=[common, catalog],
                        help="direct vs residue-expansion values of log f(e^-tau)")

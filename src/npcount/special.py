@@ -28,8 +28,9 @@ the ζ′(γ) that c_γ divides by and the ζ(γ+1) of its residue, for less
 than two passes of their own (best of five over the first 25 zeros:
 39 ms against 30 + 33 ms at 192 bits, 0.82 s against 0.65 + 0.83 s at
 1024). A seed good to fewer bits first climbs Newton's ladder, one pass
-per rung. Pass results are kept in an LRU cache keyed by (s, context),
-so the residue's calls at γ and γ + 1 cost no pass. With the bundled
+per rung. Only the check's pass is cached, its pairs at γ and γ + 1
+keyed by (point, context), so the residue's calls at γ and γ + 1 cost no
+pass; any other call pays its own pass. With the bundled
 zeros the pass never runs at |ℑ s| > 237: no command or benchmark
 workload reaches the edge ℜ s = bits or |ℑ s| = :data:`BORWEIN_MAX_HEIGHT`,
 which only the tests check.
@@ -250,51 +251,40 @@ def _zeta_pair(s: HPComplex, shifted: bool = False) -> tuple[HPComplex, ...]:
     return tuple(out)
 
 
-#: In-strip (ζ, ζ′) pairs by (s, context), least recently used first. Only
-#: the residual check's two entries are ever read again (ζ′(γ) and ζ(γ+1),
-#: by c_γ), and refine_catalog refines every zero before any c_γ is taken.
-#: A bundled zero leaves 2 entries at 64 and 192 bits (γ and γ + 1 from the
-#: check) and 5 at 1024 (three ladder pairs, then the check; measured on
-#: the first 25 zeros), 0.7–1.2 KB each, so 4096 entries (at most ~5 MB)
-#: keep the hits for catalogs of up to 800 (1024 bits) to 2000 (64 bits)
-#: zeros. A larger catalog loses them: each c_γ then pays two passes of
-#: its own, as without the cache, and gets values within the same error bound.
+#: (ζ, ζ′) at γ and at γ + 1 by (point, context), written only by the
+#: residual check's shifted pass at a refined zero γ, least recently used
+#: first: c_γ reads ζ′(γ) and ζ(γ+1) back without a pass of its own. Two
+#: entries per zero hold every zero of the strip (1518 have t <= 2000) at
+#: one precision.
 _pass_cache: OrderedDict = OrderedDict()
-_PASS_CACHE_SIZE = 4096
-
-
-def _strip_pair(s: HPComplex, ctx: PrecisionContext, shifted: bool = False) -> tuple[HPComplex, HPComplex]:
-    """(ζ(s), ζ′(s)) from one pass, rounded by ctx; a repeated (s, ctx) costs no pass.
-
-    A shifted pass also caches the pair at s + 1, unless that is cached already.
-    """
-    key = (s, ctx)
-    if key in _pass_cache:
-        _pass_cache.move_to_end(key)
-        return _pass_cache[key]
-    with ctx.working():
-        values = _mirrored(lambda z: _zeta_pair(z, shifted), s, ctx)
-    _pass_cache[key] = values[:2]
-    if shifted:
-        _pass_cache.setdefault((_shifted(s), ctx), values[2:])
-    while len(_pass_cache) > _PASS_CACHE_SIZE:
-        _pass_cache.popitem(last=False)
-    return values[:2]
+_PASS_CACHE_SIZE = 2 * 1518
 
 
 def _zeta(s, ctx: PrecisionContext, orders: tuple[int, ...], shifted: bool = False) -> tuple[HPComplex, ...]:
-    """(ζ^(k)(s) for k in orders), orders ⊆ (0, 1): one pass in the strip, else mp.zeta.
+    """(ζ^(k)(s) for k in orders), orders ⊆ (0, 1), each rounded by ctx.
 
-    shifted: the pass also caches (ζ, ζ′) at s + 1.
+    A cached (s, ctx) costs no pass; otherwise one pass in the strip, else
+    mp.zeta. shifted: an in-strip pass also sums s + 1 and caches the pairs
+    at s and at s + 1; no other pass is cached.
     """
     with ctx.working():
         s = mp.mpc(s)
         if abs(s - 1) <= mp.mpf(2) ** (8 - ctx.bits):
             raise PoleError("zeta pole at s = 1")
-        if _in_borwein_strip(s, ctx.bits):
-            pair = _strip_pair(s, ctx, shifted)
-            return tuple(pair[k] for k in orders)
-        return _mirrored(lambda z: [mp.zeta(z, derivative=k) for k in orders], s, ctx)
+        key = (s, ctx)
+        if key in _pass_cache:
+            _pass_cache.move_to_end(key)
+            pair = _pass_cache[key]
+        elif _in_borwein_strip(s, ctx.bits):
+            values = _mirrored(lambda z: _zeta_pair(z, shifted), s, ctx)
+            pair = values[:2]
+            if shifted:
+                _pass_cache[key], _pass_cache[(_shifted(s), ctx)] = pair, values[2:]
+                while len(_pass_cache) > _PASS_CACHE_SIZE:
+                    _pass_cache.popitem(last=False)
+        else:
+            return _mirrored(lambda z: [mp.zeta(z, derivative=k) for k in orders], s, ctx)
+        return tuple(pair[k] for k in orders)
 
 
 def complex_gamma(s, ctx: PrecisionContext = PrecisionContext()) -> HPComplex:
@@ -325,10 +315,11 @@ def zeta_with_derivative(s, ctx: PrecisionContext = PrecisionContext(),
 
     Both come from the route that :func:`complex_zeta` and
     :func:`zeta_derivative` take at s (one Borwein pass in the strip), and
-    are bit-identical to them. shifted, for the check at a refined zero
-    γ = s: in the strip the one pass also sums s + 1, and caches (ζ, ζ′) at
-    s and at s + 1, so the zero's c_γ reads ζ′(γ) and ζ(γ + 1) from the
-    cache. Elsewhere it changes nothing.
+    are bit-identical to them; asked for separately, they cost a pass each.
+    shifted, for the check at a refined zero γ = s: in the strip the one
+    pass also sums s + 1, and caches (ζ, ζ′) at s and at s + 1, so the
+    zero's c_γ reads ζ′(γ) and ζ(γ + 1) from the cache. Elsewhere it
+    changes nothing.
     """
     return _zeta(s, ctx, (0, 1), shifted)
 

@@ -149,6 +149,20 @@ class TestResidueCoefficients:
             assert len(tables) == 3, seed.t
             assert shifted == [False, False, True], seed.t
 
+    @pytest.mark.parametrize("bits", [192, 1024])
+    def test_cache_holds_what_c_gamma_reads_and_nothing_else(self, monkeypatch, bits):
+        # each check leaves its pairs at γ and γ + 1; no Newton step's pass is
+        # kept, though at 1024 bits every bundled seed climbs three rungs first
+        ctx = PrecisionContext(bits)
+        zeros = refine_catalog(bundled_zeros()[:25], ctx)
+        with ctx.working():
+            keys = {(mp.mpc(sigma, z.t), ctx) for z in zeros for sigma in (0.5, 1.5)}
+        assert len(special._pass_cache) == 50
+        assert set(special._pass_cache) == keys
+        tables, _ = self._passes(monkeypatch)
+        amod._zero_terms(zeros, ctx)
+        assert tables == []
+
     def test_zero_file_entry_just_above_the_strip(self, tmp_path, monkeypatch):
         # the 1518th zero: its check and its ζ(γ+1) take mpmath's ζ, not the pass
         amod._coefficient.cache_clear()

@@ -27,3 +27,18 @@ def test_summarize_synthetic_runs():
     assert wall["pairs_change_lower"] == 3  # pairs 1, 3 and 5; pair 2 is a tie
     assert summary["invocations"] == {"parent": {"attempted": 85, "failed": 1},
                                       "change": {"attempted": 84, "failed": 3}}
+
+
+@pytest.mark.parametrize("side", ["parent", "change"])
+def test_checkout_with_bytecode_under_src_is_refused(tmp_path, capsys, side):
+    # a client reads that bytecode and skips compiling, so its setup_s reads low
+    for name in ("parent", "change"):
+        (tmp_path / name / "src" / "npcount").mkdir(parents=True)
+    cached = tmp_path / side / "src" / "npcount" / "__pycache__"
+    cached.mkdir()
+    with pytest.raises(SystemExit) as exc:
+        bench_record.main(["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
+                           "--out", str(tmp_path / "out.json"), "--seed", "1"])
+    assert exc.value.code != 0
+    assert str(cached) in capsys.readouterr().err
+    assert not (tmp_path / "out.json").exists()

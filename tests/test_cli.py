@@ -186,6 +186,19 @@ class TestLogfCheck:
         assert "direct sum at tau=0.02 needs more than 1000 terms" in err
         assert sizes == []
 
+    def test_tau_over_the_cap_fails_before_any_zero_is_refined(self, capsys, monkeypatch):
+        # else --tau 1e-7 at 1024 bits refines 25 zeros (1.4 s) before it fails
+        def forbidden(*args, **kwargs):
+            raise AssertionError("zeros refined before the term cap was checked")
+        monkeypatch.setattr("npcount.cli.refine_catalog", forbidden)
+        monkeypatch.setattr(amod, "_DIRECT_SUM_MAX_TERMS", 1000)
+        code, out, err = run(capsys, "logf-check", "--tau", "0.5", "--tau", "0.02",
+                             "--tau", "0.05", "--k-zeros", "25")
+        assert code == EXIT_NUMERIC
+        assert out == ""
+        assert "direct sum at tau=0.02 needs more than 1000 terms" in err
+        assert "Traceback" not in err
+
     def test_reported_tau_floor_is_tight(self, capsys, monkeypatch):
         ctx = PrecisionContext(192)
         monkeypatch.setattr(amod, "_DIRECT_SUM_MAX_TERMS", 1000)
@@ -463,6 +476,20 @@ class TestKernelCommands:
         assert code == EXIT_NUMERIC
         assert out == ""
         assert "t0=14.13 and t0=14.14 refine to t=14.1347251417347 and t=14.1347251417347" in err
+        assert "Traceback" not in err
+
+    def test_unrefinable_seed_fails_before_the_series(self, capsys, monkeypatch, tmp_path):
+        # Newton cannot refine t0 = 0.0001; count_series(20000) would run for seconds first
+        def forbidden(*args, **kwargs):
+            raise AssertionError("count_series ran before the zeros were refined")
+        monkeypatch.setattr("npcount.cli.count_series", forbidden)
+        path = tmp_path / "zeros.txt"
+        path.write_text("0.0001\n")
+        code, out, err = run(capsys, "compare", "-n", "20000", "--k-zeros", "1", "--bits", "64",
+                             "--zero-file", str(path))
+        assert code == EXIT_NUMERIC
+        assert out == ""
+        assert "npcount: numeric failure" in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("text", ["abc\n", "14.13\n-2\n", "21.02\n14.13\n",

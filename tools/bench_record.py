@@ -14,6 +14,10 @@ line (metrics, attempted and failed invocations). The output file holds
 every kept run and, per workload, a summary: per metric both sides' medians,
 their ratio, the parent's quartile spread and the pairs the change read
 lower in, and under ``invocations`` each side's attempted and failed totals.
+
+A checkout that holds a ``__pycache__`` directory under ``src/`` is refused:
+clients write no bytecode but read what is there, and skip compiling the
+package, so their ``setup_s`` would not be a clean checkout's.
 """
 from __future__ import annotations
 
@@ -69,6 +73,10 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, required=True,
                         help="perfbench seed; pick one no earlier record used")
     args = parser.parse_args(argv)
+    for side in SIDES:
+        cached = sorted(getattr(args, side).glob("src/**/__pycache__"))
+        if cached:
+            parser.error(f"--{side} holds bytecode in {cached[0]}; use a clean checkout")
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = benchmark["run_seconds"]
     record = {"seed": args.seed, "seconds": seconds, "workloads": {}}
