@@ -47,13 +47,13 @@ truncation tail is bounded by the triangle inequality Σ 2|c_γ| τ^(-1/2).
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import Sequence
 
 import mpmath as mp
 
 from .counting import EXPONENT_ROWS, SlopeRange, log_derivative_weights
 from .precision import GUARD_BITS, HPComplex, HPReal, PrecisionContext
+from .record import Record
 from .special import complex_gamma, complex_zeta, constant_C, constant_K, zeta_derivative
 from .zeros import ZetaZero, refine_catalog
 
@@ -61,10 +61,10 @@ class TruncationError(ArithmeticError):
     """A series failed to reach its truncation threshold."""
 
 
-@dataclass(frozen=True)
-class AsymptoticBreakdown:
+class AsymptoticBreakdown(Record):
     """log-scale estimate: main term, zero oscillation and their sum, each rounded to bits."""
 
+    __slots__ = ("tau", "log_main", "oscillation", "log_estimate")
     tau: HPReal
     log_main: HPReal
     oscillation: HPReal
@@ -180,10 +180,10 @@ def wave_sample(x, zeros: Sequence[ZetaZero], ctx: PrecisionContext = PrecisionC
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ExpansionCheck:
+class ExpansionCheck(Record):
     """Direct series vs. residue expansion of log f(e^(-τ))."""
 
+    __slots__ = ("tau", "direct", "expansion", "residual", "terms")
     tau: HPReal
     direct: HPReal
     expansion: HPReal
@@ -326,10 +326,5 @@ def logf_expansion_check(tau, zeros: Sequence[ZetaZero] = (),
         expansion = (C / 2 / tau ** 2
                      + _oscillation_at_tau(tau, terms)
                      - mp.log(tau) / 6 + mp.log(K))
-        return ExpansionCheck(
-            tau=ctx.round(tau),
-            direct=ctx.round(direct),
-            expansion=ctx.round(expansion),
-            residual=ctx.round(direct - expansion),
-            terms=n_max,
-        )
+        return ExpansionCheck(ctx.round(tau), ctx.round(direct), ctx.round(expansion),
+                              ctx.round(direct - expansion), n_max)

@@ -56,10 +56,11 @@ from __future__ import annotations
 import decimal
 import enum
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 from typing import Sequence
+
+from .record import Record
 
 
 class SlopeRange(enum.Enum):
@@ -83,17 +84,15 @@ EXPONENT_ROWS = {
 }
 
 
-@dataclass(frozen=True)
-class CountSeries:
+class CountSeries(Record):
     """Exact counts a(0..limit) of one family, by height (by genus g for the symmetric counts)."""
 
-    slope_range: SlopeRange
-    limit: int
-    values: tuple[int, ...]
+    __slots__ = ("slope_range", "limit", "values")
 
-    def __post_init__(self) -> None:
-        if len(self.values) != self.limit + 1:
+    def __init__(self, slope_range: SlopeRange, limit: int, values: tuple[int, ...]) -> None:
+        if len(values) != limit + 1:
             raise ValueError("values must cover 0..limit")
+        super().__init__(slope_range, limit, values)
 
     def __getitem__(self, n: int) -> int:
         return self.values[n]

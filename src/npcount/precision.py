@@ -9,9 +9,10 @@ fixed inputs always produce bit-identical results.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 import mpmath as mp
+
+from .record import Record
 
 HPReal = mp.mpf
 HPComplex = mp.mpc
@@ -30,17 +31,17 @@ GUARD_BITS = 32
 PLAIN_DECIMAL = re.compile(r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
 
 
-@dataclass(frozen=True)
-class PrecisionContext:
+class PrecisionContext(Record):
     """Working mantissa precision, in bits, for all kernel arithmetic."""
 
-    bits: int = DEFAULT_BITS
+    __slots__ = ("bits",)
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.bits, int) or isinstance(self.bits, bool):
-            raise TypeError(f"bits must be an int, got {type(self.bits).__name__}")
-        if self.bits < MIN_BITS:
-            raise ValueError(f"bits must be >= {MIN_BITS}, got {self.bits}")
+    def __init__(self, bits: int = DEFAULT_BITS) -> None:
+        if not isinstance(bits, int) or isinstance(bits, bool):
+            raise TypeError(f"bits must be an int, got {type(bits).__name__}")
+        if bits < MIN_BITS:
+            raise ValueError(f"bits must be >= {MIN_BITS}, got {bits}")
+        super().__init__(bits)
 
     def working(self):
         """mpmath precision context at bits + guard (for internal math)."""

@@ -25,17 +25,17 @@ d >= max(1, h); everything outside the triangle reads as zero.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 from operator import mul
 
 from .counting import SlopeRange, count_series
+from .record import Record
 
 
-@dataclass(frozen=True)
-class RhoTable:
+class RhoTable(Record):
     """Triangular exact-integer table ρ(h, d) for 0 <= d <= h <= max_height."""
 
+    __slots__ = ("max_height", "rows")
     max_height: int
     rows: tuple[tuple[int, ...], ...]
 

@@ -17,7 +17,6 @@ takes no step: its one pass is the check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 from typing import Iterable
@@ -25,6 +24,7 @@ from typing import Iterable
 import mpmath as mp
 
 from .precision import GUARD_BITS, MIN_BITS, PLAIN_DECIMAL, HPReal, PrecisionContext
+from .record import Record
 from .special import BORWEIN_MAX_HEIGHT, complex_zeta, zeta_with_derivative
 
 #: After refinement, |ζ(1/2 + i t)| <= 2**(RESIDUAL_MARGIN - bits) plus the
@@ -50,8 +50,7 @@ class NonConvergenceError(ArithmeticError):
     """Newton refinement failed to reach the target residual."""
 
 
-@dataclass(frozen=True)
-class ZetaZero:
+class ZetaZero(Record):
     """A zero 1/2 + i t with t > 0; `bits` is the precision t was refined at.
 
     A seed from a zero table has ``bits=None``, and `seed_bits`, the bits
@@ -64,9 +63,13 @@ class ZetaZero:
     working precision, so a t refined at one precision is never used at another.
     """
 
-    t: HPReal
-    bits: int | None = None
-    seed_bits: int | None = field(default=None, compare=False)
+    __slots__ = ("t", "bits", "seed_bits")
+
+    def __init__(self, t: HPReal, bits: int | None = None, seed_bits: int | None = None) -> None:
+        super().__init__(t, bits, seed_bits)
+
+    def _key(self) -> tuple:
+        return self.t, self.bits
 
 
 def load_zeros(path) -> list[ZetaZero]:
