@@ -30,7 +30,6 @@ from .precision import DEFAULT_BITS, HPComplex, HPReal, PrecisionContext
 from .rho import RhoTable, rho_recurrence_table
 from .special import (
     PoleError,
-    bernoulli_even,
     complex_gamma,
     complex_zeta,
     constant_C,

@@ -52,7 +52,7 @@ from typing import Sequence
 import mpmath as mp
 
 from .counting import EXPONENT_ROWS, SlopeRange, log_derivative_weights
-from .precision import GUARD_BITS, HPComplex, HPReal, PrecisionContext
+from .precision import GUARD_BITS, HPComplex, HPReal, PrecisionContext, read_real
 from .record import Record
 from .special import complex_gamma, complex_zeta, constant_C, constant_K, zeta_derivative
 from .zeros import ZetaZero, refine_catalog
@@ -169,7 +169,7 @@ def wave_sample(x, zeros: Sequence[ZetaZero], ctx: PrecisionContext = PrecisionC
     saddle at height x. The first-zero wave passes the first zero alone.
     """
     with ctx.working():
-        x = mp.mpf(x)
+        x = read_real(x)
         if not x > 0:
             raise ValueError("x must be positive")
         return ctx.round(mp.exp(_oscillation_at_tau(_tau(x, 1, ctx), _zero_terms(zeros, ctx))))
@@ -211,12 +211,15 @@ def _logf_tail_bound(tau: HPReal):
 
 
 def logf_term_count(tau, ctx: PrecisionContext) -> int:
-    """The M terms :func:`logf_expansion_check` sums at τ; over the cap, a TruncationError."""
+    """The M terms :func:`logf_expansion_check` sums at τ in (0, 1]; over the cap, a TruncationError."""
     with ctx.working():
-        return _logf_term_count(mp.mpf(tau), ctx, _DIRECT_SUM_MAX_TERMS)
+        tau = read_real(tau)
+        if not 0 < tau <= 1:
+            raise ValueError("tau must be in (0, 1]")
+        return _logf_term_count(tau, ctx, _DIRECT_SUM_MAX_TERMS)
 
 
-@functools.lru_cache(maxsize=16)  # the CLI's gate and the check at the smallest τ share one search
+@functools.lru_cache(maxsize=16)  # the CLI's gate and the checks share one search per τ
 def _logf_term_count(tau: HPReal, ctx: PrecisionContext, cap: int) -> int:
     cutoff = mp.mpf(2) ** (-(ctx.bits + GUARD_BITS))
     tail = _logf_tail_bound(tau)
@@ -306,9 +309,7 @@ def logf_expansion_check(tau, zeros: Sequence[ZetaZero] = (),
     C = constant_C(wide)
     K = constant_K(wide)
     with ctx.working():
-        tau = mp.mpf(tau)
-        if not 0 < tau <= 1:
-            raise ValueError("tau must be in (0, 1]")
+        tau = read_real(tau)
         n_max = logf_term_count(tau, ctx)
         terms = _zero_terms(zeros, ctx)
 

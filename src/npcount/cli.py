@@ -53,7 +53,7 @@ MAX_WAVE_SAMPLES = 100_000
 MAX_WAVE_X = sys.float_info.max
 
 #: Largest ``--bits``: at 1024 bits ``zeros refine`` (100 zeros) takes
-#: 7.5-10 s and ``compare -n 5`` (25 zeros) 1.9-2.3 s; from 192 to 1024
+#: 5.0-6.9 s and ``compare -n 5`` (25 zeros) 1.3-1.9 s; from 192 to 1024
 #: bits their cost grows about as bits^1.6 and bits^1.0, as a bundled zero
 #: takes one Borwein pass at 192 bits and four at 1024.
 MAX_BITS = 1024
@@ -63,14 +63,6 @@ MAX_BITS = 1024
 #: under the peak below 1e6 (6.9 / 8.9 / 276, mpmath's Euler–Maclaurin ζ), but
 #: 8.2 / 16 / 111 at 3e10 and 23 (64 bits) at 2.7e11; 1e30 ran out of memory.
 MAX_ZERO_HEIGHT = 10 ** 9
-
-
-def _decimal(text, ctx):
-    """text at ctx's precision, or None when it is not a plain decimal number."""
-    try:
-        return ctx.real(text)
-    except ValueError:
-        return None
 
 
 def _zeros(args, ctx, refine=True):
@@ -143,8 +135,11 @@ def _rows_compare(args, ctx):
 def _rows_wave(args, ctx):
     if not 1 <= args.samples <= MAX_WAVE_SAMPLES:
         raise UsageError(f"--samples must be in [1, {MAX_WAVE_SAMPLES}], got {args.samples}")
-    lo, hi = _decimal(args.xmin, ctx), _decimal(args.xmax, ctx)
-    if lo is None or hi is None or not 0 < lo <= hi <= MAX_WAVE_X:
+    try:
+        lo, hi = ctx.real(args.xmin), ctx.real(args.xmax)
+    except ValueError:  # not plain decimal numbers, refused below
+        lo = hi = 0
+    if not 0 < lo <= hi <= MAX_WAVE_X:
         raise UsageError(f"need finite --xmin and --xmax, plain decimal numbers with "
                          f"0 < --xmin <= --xmax <= {MAX_WAVE_X:.6g}, "
                          f"got {args.xmin!r} and {args.xmax!r}")
@@ -170,13 +165,15 @@ def _rows_zeros(args, ctx):
 def _rows_logf(args, ctx):
     taus = []
     for text in args.tau:
-        tau = _decimal(text, ctx)
-        if tau is None:
-            raise UsageError(f"--tau must be a plain decimal number, got {text!r}")
-        if not 0 < tau <= 1:
-            raise UsageError(f"--tau must be in (0, 1], got {text}")
-        taus.append(tau)
-    logf_term_count(min(taus), ctx)  # a τ over the term cap fails before any zero is refined
+        try:
+            taus.append(ctx.real(text))
+        except ValueError:
+            raise UsageError(f"--tau must be a plain decimal number, got {text!r}") from None
+    for tau in (max(taus), min(taus)):  # every τ passes if both ends do, before any zero is refined
+        try:
+            logf_term_count(tau, ctx)
+        except ValueError:
+            raise UsageError(f"--tau must be in (0, 1], got {args.tau[taus.index(tau)]}") from None
     zeros = _zeros(args, ctx)
     # smallest τ first: it needs the most terms, so its weight table serves every τ
     checks = {tau: logf_expansion_check(tau, zeros, ctx) for tau in sorted(set(taus))}

@@ -31,6 +31,13 @@ GUARD_BITS = 32
 PLAIN_DECIMAL = re.compile(r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
 
 
+def read_real(x) -> HPReal:
+    """x, a number or plain-decimal text, at the ambient precision; mpmath alone reads "1_0" as 10."""
+    if isinstance(x, str) and not PLAIN_DECIMAL.fullmatch(x):
+        raise ValueError(f"not a plain decimal number: {x!r}")
+    return mp.mpf(x)
+
+
 class PrecisionContext(Record):
     """Working mantissa precision, in bits, for all kernel arithmetic."""
 
@@ -52,11 +59,9 @@ class PrecisionContext(Record):
         return mp.workprec(self.bits)
 
     def real(self, x) -> HPReal:
-        """Parse/convert x to an HPReal rounded at this precision; a string must be a plain decimal."""
-        if isinstance(x, str) and not PLAIN_DECIMAL.fullmatch(x):
-            raise ValueError(f"not a plain decimal number: {x!r}")
+        """x, a number or plain-decimal text, as an HPReal rounded at this precision."""
         with self.final():
-            return +mp.mpf(x)
+            return read_real(x)
 
     def round(self, v):
         """Round an mpf/mpc result to the nominal precision."""

@@ -9,7 +9,6 @@ its own:
   1/2 <= ℜ s <= bits and |ℑ s| <= :data:`BORWEIN_MAX_HEIGHT` from one
   fixed-point pass of Borwein's algorithm that sums η and η′ together
   (:func:`_zeta_pair`); elsewhere they are ``mp.zeta(s, derivative=k)``;
-* :func:`bernoulli_even` is ``mp.bernfrac``;
 * :func:`constant_C` is ``mp.zeta`` at 3 and 2, where mpmath divides by
   (k+1)^s in integers, over ten times faster than the pass, and caches the
   value; :func:`constant_K` takes ζ′(2) from the pass (one pass at t = 0,
@@ -50,7 +49,6 @@ from __future__ import annotations
 import functools
 import math
 from collections import OrderedDict
-from fractions import Fraction
 
 import mpmath as mp
 from mpmath.libmp import isqrt_fast, ln2_fixed, log_int_fixed, pi_fixed, to_fixed
@@ -73,11 +71,6 @@ BORWEIN_MAX_HEIGHT = 2000
 
 class PoleError(ArithmeticError):
     """Evaluation was requested at (or too close to) a pole."""
-
-
-def bernoulli_even(count: int) -> list[Fraction]:
-    """[B_2, B_4, ..., B_{2*count}] as exact rationals."""
-    return [Fraction(*mp.bernfrac(2 * n)) for n in range(1, count + 1)]
 
 
 def _near_nonpositive_integer(s: HPComplex, bits: int) -> bool:

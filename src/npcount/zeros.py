@@ -23,7 +23,7 @@ from typing import Iterable
 
 import mpmath as mp
 
-from .precision import GUARD_BITS, MIN_BITS, PLAIN_DECIMAL, HPReal, PrecisionContext
+from .precision import GUARD_BITS, MIN_BITS, HPReal, PrecisionContext, read_real
 from .record import Record
 from .special import BORWEIN_MAX_HEIGHT, complex_zeta, zeta_with_derivative
 
@@ -95,9 +95,10 @@ def _parse_zero_table(text: str, origin: str) -> list[ZetaZero]:
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            if not PLAIN_DECIMAL.fullmatch(line):
-                raise ZeroFileError(f"{origin}:{lineno}: not a decimal number: {line!r}")
-            t = mp.mpf(line)
+            try:
+                t = read_real(line)
+            except ValueError:
+                raise ZeroFileError(f"{origin}:{lineno}: not a decimal number: {line!r}") from None
             if not t > 0:
                 raise ZeroFileError(f"{origin}:{lineno}: t must be positive, got {line!r}")
             if prev is not None and not t > prev:
@@ -125,7 +126,7 @@ def _refine_history(t0, ctx: PrecisionContext, seed_bits: int | None = None) -> 
         prec = max(floor, prec // 2 + LADDER_MARGIN)
     check = good >= full
     with ctx.working():
-        t = mp.mpf(t0)
+        t = t0 = read_real(t0)
         target = mp.mpf(2) ** (RESIDUAL_MARGIN - ctx.bits)
         half = mp.mpf(1) / 2
         residuals: list[HPReal] = []
@@ -147,7 +148,7 @@ def _refine_history(t0, ctx: PrecisionContext, seed_bits: int | None = None) -> 
             check = prec == full and 2 * good >= full
             prec = min(full, max(floor, 2 * (min(2 * good, prec) - LADDER_MARGIN)))
         raise NonConvergenceError(
-            f"zero refinement from t0={mp.nstr(mp.mpf(t0), 12)} did not reach "
+            f"zero refinement from t0={mp.nstr(t0, 12)} did not reach "
             f"|zeta| <= 2^{RESIDUAL_MARGIN - ctx.bits} in {MAX_NEWTON_ITERATIONS} iterations")
 
 
@@ -186,11 +187,14 @@ def refine_zero(t0, ctx: PrecisionContext = PrecisionContext(), seed_bits: int |
 def refine_catalog(zeros: Iterable[ZetaZero], ctx: PrecisionContext = PrecisionContext()) -> list[ZetaZero]:
     """Refine every zero not refined at ctx.bits; zeros refined at ctx.bits pass through.
 
+    A seed with t <= 0 raises ValueError before any zero is refined.
     Refined t that are not strictly increasing (two seeds Newton took to one
     zero, whose oscillation would count twice, or out of order) raise
     :class:`NonConvergenceError` naming both seeds and the t they reached.
     """
     seeds = list(zeros)
+    if low := [z.t for z in seeds if not z.t > 0]:
+        raise ValueError(f"zero seeds must have t > 0, got t0={mp.nstr(low[0], 12)}")
     out = [z if z.bits == ctx.bits
            else ZetaZero(refine_zero(z.t, ctx, z.seed_bits), ctx.bits, seed_bits=ctx.bits)
            for z in seeds]

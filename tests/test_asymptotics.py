@@ -7,6 +7,7 @@ import pytest
 from npcount import (
     PrecisionContext,
     SlopeRange,
+    ZetaZero,
     bundled_zeros,
     count_series,
     constant_C,
@@ -18,7 +19,7 @@ from npcount import (
 )
 import npcount.asymptotics as amod
 from npcount import special
-from npcount.asymptotics import TruncationError
+from npcount.asymptotics import TruncationError, logf_term_count
 
 import golden
 import oracles
@@ -237,6 +238,12 @@ class TestFullEstimate:
                 gaps.append(abs(full_estimate(n, zeros25, ctx).log_estimate - exact))
         assert gaps[1] < gaps[0]
 
+    def test_refuses_a_seed_below_the_axis(self, first25):
+        # summed, -t1 and t1 gave twice the first zero's oscillation
+        z1 = first25(64)[0]
+        with pytest.raises(ValueError, match="t > 0"):
+            full_estimate(1000, [ZetaZero(-z1.t), z1], PrecisionContext(64))
+
 
 class TestVariants:
     def test_log_relative_error_shrinks_by_decade(self, ctx, exact_counts):
@@ -376,6 +383,12 @@ class TestExpansionCheck:
         with pytest.raises(ValueError):
             logf_expansion_check(tau, (), ctx)
 
+    @pytest.mark.parametrize("tau", ["-1", "0", "2"])
+    def test_term_count_rejects_tau_outside_unit_interval(self, ctx, tau):
+        # "0" once divided by zero, and "-1" once counted one term
+        with pytest.raises(ValueError, match=r"tau must be in \(0, 1\]"):
+            logf_term_count(tau, ctx)
+
     def test_truncation_failure_reported(self, ctx, zeros25, monkeypatch):
         monkeypatch.setattr(amod, "_DIRECT_SUM_MAX_TERMS", 100)
         with pytest.raises(TruncationError):
@@ -411,3 +424,29 @@ class TestExpansionCheck:
                 return mp.mpf(33) / 20 * x ** m * (m / (1 - x) + x / (1 - x) ** 2)
 
             assert tail(chk.terms + 1) < eps <= tail(chk.terms)
+
+
+class TestPlainDecimalInput:
+    """τ and x are read as in the CLI: numbers, or plain-decimal text only."""
+
+    CALLS = {
+        "logf_expansion_check": lambda v, zeros, ctx: logf_expansion_check(v, (), ctx),
+        "logf_term_count": lambda v, zeros, ctx: logf_term_count(v, ctx),
+        "wave_sample": lambda v, zeros, ctx: wave_sample(v, zeros, ctx),
+    }
+
+    @pytest.mark.parametrize("name", CALLS)
+    @pytest.mark.parametrize("text", ["0.01_4", "1_000", " 0.5 ", "inf", "1/2"])
+    def test_other_text_is_refused(self, first25, name, text):
+        # mpmath alone reads 0.01_4 as 0.0014, where the direct sum takes 60454 terms
+        with pytest.raises(ValueError, match="not a plain decimal number"):
+            self.CALLS[name](text, first25(64)[:1], PrecisionContext(64))
+
+    @pytest.mark.parametrize("name", CALLS)
+    @pytest.mark.parametrize("value", ["0.1", "1", ".5e-1", 0.1, 1, mp.mpf("0.1", prec=200)])
+    def test_values_are_mpmaths_reading_at_the_working_precision(self, first25, name, value):
+        ctx = PrecisionContext(64)
+        with ctx.working():
+            read = mp.mpf(value)
+        call = self.CALLS[name]
+        assert call(value, first25(64)[:1], ctx) == call(read, first25(64)[:1], ctx)

@@ -125,7 +125,7 @@ class TestLogfCheck:
         assert "--tau must be in (0, 1], got 2" in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("tau", ["0.01_4", "abc"])
+    @pytest.mark.parametrize("tau", ["0.01_4", "abc", "1_000", " 0.5 "])
     def test_tau_that_is_not_a_plain_decimal_is_usage_error(self, capsys, monkeypatch, tau):
         # mpmath alone reads 0.01_4 as 0.0014
         def forbidden(*args, **kwargs):
@@ -504,6 +504,13 @@ class TestKernelCommands:
         assert out == ""
         assert "npcount: I/O error" in err
         assert "Traceback" not in err
+
+    def test_zero_file_line_that_is_not_a_plain_decimal_keeps_its_message(self, capsys, tmp_path):
+        path = tmp_path / "zeros.txt"
+        path.write_text("14.13\n21.02_2\n")
+        code, out, err = run(capsys, "zeros", "dump", "--zero-file", str(path))
+        assert (code, out) == (EXIT_IO, "")
+        assert err == f"npcount: I/O error: {path}:2: not a decimal number: '21.02_2'\n"
 
 
 def compare_rows(ns, k, bits, family):

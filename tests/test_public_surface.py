@@ -6,12 +6,6 @@ import npcount
 
 PACKAGE = Path(npcount.__file__).parent
 
-#: Exported names that nothing in the package calls yet, each with its reason.
-NOT_YET_CALLED = {
-    "bernoulli_even": "ζ(1-2m) = -B_2m/2m for the trivial-zero poles of the log f expansion",
-}
-
-
 def exported_names():
     tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
     return {alias.asname or alias.name
@@ -38,11 +32,5 @@ def referenced_names():
 
 def test_every_export_has_a_caller_in_the_package():
     exported = exported_names()
-    unused = exported - referenced_names() - NOT_YET_CALLED.keys()
+    unused = exported - referenced_names()
     assert not unused, f"exported but never used in src/npcount: {sorted(unused)}"
-
-
-def test_exceptions_are_still_exported_and_uncalled():
-    # an exception that gains a caller, or leaves the exports, is taken off the list
-    assert NOT_YET_CALLED.keys() <= exported_names()
-    assert not NOT_YET_CALLED.keys() & referenced_names()

@@ -1,6 +1,5 @@
 import math
 import random
-from fractions import Fraction
 
 import mpmath as mp
 import pytest
@@ -11,7 +10,6 @@ from npcount import special
 from npcount import (
     PoleError,
     PrecisionContext,
-    bernoulli_even,
     bundled_zeros,
     complex_gamma,
     complex_zeta,
@@ -39,12 +37,6 @@ def hp_complex(re, im):
     """
     with CTX.working():
         return CTX.round(mp.mpc(CTX.real(re), CTX.real(im)))
-
-
-def test_bernoulli_small_values():
-    B = bernoulli_even(6)
-    assert B == [Fraction(1, 6), Fraction(-1, 30), Fraction(1, 42),
-                 Fraction(-1, 30), Fraction(5, 66), Fraction(-691, 2730)]
 
 
 @pytest.mark.parametrize("text", ["1", "-1.5e-3", ".5", "5.", "+2E10", "141.1237"])

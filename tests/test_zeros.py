@@ -83,6 +83,12 @@ class TestLoading:
         assert all(a.t < b.t for a, b in zip(zs, zs[1:]))
         for z, want in zip(zs, golden.ZERO_T_8DP):
             assert abs(z.t - mp.mpf(want)) < mp.mpf("1e-8")
+        # they are the first 100: N(T) counts the zeros with 0 < t <= T, and
+        # t_100 = 236.524... < 237.1 < t_101 = 237.770...
+        assert 236.4 < zs[-1].t < 237.1
+        with mp.workdps(15):
+            assert mp.nzeros(236.4) == 99
+            assert mp.nzeros(237.1) == 100
 
 
 class TestRefinement:
@@ -164,6 +170,29 @@ class TestRefinement:
         with pytest.raises(NonConvergenceError, match=r"t0=14\.13 and t0=14\.14 refine to "
                                                       r"t=14\.1347251417347 and t=14\.1347251417347"):
             refine_catalog(seeds, PrecisionContext(64))
+
+    @pytest.mark.parametrize("t", ["-14.134725141734693790457251983562470270784", "0"])
+    def test_seed_with_t_not_above_zero_is_rejected_before_any_pass(self, monkeypatch, t):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a pass ran before the seeds were checked")
+        monkeypatch.setattr(zmod, "zeta_with_derivative", forbidden)
+        monkeypatch.setattr(zmod, "complex_zeta", forbidden)
+        seeds = bundled_zeros()[:1] + [ZetaZero(mp.mpf(t))]
+        with pytest.raises(ValueError, match="t > 0"):
+            refine_catalog(seeds, PrecisionContext(64))
+
+    @pytest.mark.parametrize("text", ["14.13_47", "0.01_4", " 14.1347 ", "inf"])
+    def test_seed_text_that_is_not_a_plain_decimal_is_refused(self, text):
+        # mpmath alone reads 14.13_47 as 14.1347
+        with pytest.raises(ValueError, match="not a plain decimal number"):
+            refine_zero(text, PrecisionContext(64))
+
+    @pytest.mark.parametrize("seed", ["14.1347", 14.1347, 14, mp.mpf("14.1347", prec=200)])
+    def test_seed_is_mpmaths_reading_at_the_working_precision(self, seed):
+        ctx = PrecisionContext(64)
+        with ctx.working():
+            read = mp.mpf(seed)
+        assert refine_zero(seed, ctx) == refine_zero(read, ctx)
 
     def test_refined_zeros_out_of_order_are_rejected(self, first25):
         z1, z2 = first25(64)[:2]
