@@ -47,6 +47,8 @@ truncation tail is bounded by the triangle inequality Σ 2|c_γ| τ^(-1/2).
 from __future__ import annotations
 
 import functools
+import math
+import operator
 from typing import Sequence
 
 import mpmath as mp
@@ -163,15 +165,15 @@ def full_estimate(n: int, zeros: Sequence[ZetaZero],
 
 
 def wave_sample(x, zeros: Sequence[ZetaZero], ctx: PrecisionContext = PrecisionContext()) -> HPReal:
-    """Wave y(x) = exp(Σ_γ 2 Re(c_γ τ^(-γ))) = exp(Σ_γ 2 Re(c_γ C^(-γ/3) x^(γ/3))), x > 0.
+    """Wave y(x) = exp(Σ_γ 2 Re(c_γ τ^(-γ))) = exp(Σ_γ 2 Re(c_γ C^(-γ/3) x^(γ/3))), finite x > 0.
 
     The sum runs over the given zeros, and τ = (C/x)^(1/3) is the [0, 1)
     saddle at height x. The first-zero wave passes the first zero alone.
     """
     with ctx.working():
         x = read_real(x)
-        if not x > 0:
-            raise ValueError("x must be positive")
+        if not (x > 0 and mp.isfinite(x)):
+            raise ValueError("x must be positive and finite")
         return ctx.round(mp.exp(_oscillation_at_tau(_tau(x, 1, ctx), _zero_terms(zeros, ctx))))
 
 
@@ -221,20 +223,43 @@ def logf_term_count(tau, ctx: PrecisionContext) -> int:
 
 @functools.lru_cache(maxsize=16)  # the CLI's gate and the checks share one search per τ
 def _logf_term_count(tau: HPReal, ctx: PrecisionContext, cap: int) -> int:
+    """The least M with tail(M + 1) < ε <= tail(M), ε = 2^-(bits+guard), or 1 if tail(1) < ε.
+
+    The float root of log tail(m) = log ε lands within a term or two of M,
+    so the exact checks that then step to M take two or three tail bounds.
+    """
     cutoff = mp.mpf(2) ** (-(ctx.bits + GUARD_BITS))
     tail = _logf_tail_bound(tau)
     if tail(cap + 1) >= cutoff:
         raise TruncationError(
             f"direct sum at tau={mp.nstr(tau, 6)} needs more than {cap} terms; "
             f"the smallest tau that fits at {ctx.bits} bits is {_logf_tau_floor(cutoff, cap)}")
-    lo, hi = 0, cap  # tail(lo + 1) >= cutoff > tail(hi + 1)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if tail(mid + 1) < cutoff:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    n = min(max(int(_logf_tail_root(float(tau), ctx.bits + GUARD_BITS)), 1), cap)
+    while tail(n + 1) >= cutoff:
+        n += 1
+    while n > 1 and tail(n) < cutoff:
+        n -= 1
+    return n
+
+
+def _logf_tail_root(tau: float, bits: int) -> float:
+    """The real m where log tail(m) = -bits log 2, by Newton's method in floats.
+
+    g(m) = log Z - m τ + log(m inv + x inv²) + bits log 2, inv = 1/(1-x), is
+    concave, and decreasing for m >= 1. Started at m = (log Z + bits log 2)/τ,
+    where g > 0, Newton's first step lands right of the root (the tangent
+    lies above g), and each later step stays right of it and falls to it.
+    """
+    inv = -1 / math.expm1(-tau)
+    shift = math.exp(-tau) * inv * inv
+    a = math.log(_ZETA2_UPPER) + bits * math.log(2)
+    m = a / tau
+    for _ in range(100):
+        step = (a - m * tau + math.log(m * inv + shift)) / (inv / (m * inv + shift) - tau)
+        m -= step
+        if abs(step) < 1e-9 * m:
+            break
+    return m
 
 
 def _logf_tau_floor(cutoff: HPReal, cap: int) -> str:
@@ -280,7 +305,8 @@ def logf_expansion_check(tau, zeros: Sequence[ZetaZero] = (),
                (the τ^(-2) residue, the zero oscillation, and the
                double-pole residue at 0);
     residual:  direct - expansion, the part the expansion drops —
-               O(τ^(2-ε)) as τ -> 0.
+               O(τ² log(1/τ)) as τ -> 0, from the double pole at
+               s = -2, where Γ(s) and 1/ζ(s) both have one.
 
     The direct series stops after M = ``terms`` terms, the least M whose
     tail bound Z x^(M+1) ((M+1)/(1-x) + x/(1-x)²) is below
@@ -292,15 +318,25 @@ def logf_expansion_check(tau, zeros: Sequence[ZetaZero] = (),
     τ needing more terms replaces: checks taken in ascending τ build one.
 
     The M terms are summed in fixed point at P = bits + guard + 3 L + 2
-    bits, L = bit length of M: X = round(x 2^P), x^N is carried as
-    xn_N = floor(xn_(N-1) X / 2^P), and term N adds floor(b(N) xn_N / N).
-    With ξ = X/2^P, |ξ - x| <= 2^-P (x is computed at P + 8 bits) and
-    0 <= ξ^N - xn_N/2^P < (N-1) 2^-P, so |xn_N/2^P - x^N| < 2N 2^-P and
-    term N is off by less than (2 b(N) + 1) 2^-P. As Σ_{N<=M} b(N)
-    <= M Σ_{d<=M} φ(d) <= M²(M+1)/2, the M terms together are off by less
-    than 3 M³ 2^-P < ε. With the tail, direct is within 2ε of log f(x);
-    since log f(x) >= x/(1-x) >= 1/(2τ) >= 1/2, that is a relative error
-    below 2^(2-bits-guard).
+    bits, L = bit length of M, by rectangular splitting (Paterson &
+    Stockmeyer 1973) in blocks of m = ⌊√M⌋ terms. With u = 2^-P,
+    X = round(x 2^P), the baby steps B_i ~ x^i 2^P (i = 1..m) are B_1 = X,
+    B_(i+1) = floor(B_i X u), and the giant steps G_j ~ x^(jm) 2^P are
+    G_0 = 2^P, G_(j+1) = floor(G_j B_m u). Block j, N = jm + i, adds
+    floor(T_j G_j u), T_j = Σ_i floor(b(N) B_i / N): a short product and
+    division per term, and two full-width products per block.
+    With ξ = X u, |ξ - x| <= u (x is computed at P + 8 bits) and ξ <= 1. A
+    floor chain by a factor at most 1 loses less than u a step, so
+    0 <= ξ^i - B_i u < (i-1) u and |B_i u - x^i| < 2i u; with γ = B_m u,
+    likewise |G_j u - x^(jm)| <= (j-1) u + j |γ - x^m| <= 3jm u for j >= 1,
+    and G_0 u = 1.
+    Term N of block j is then off by less than (b(N)/N)(2i + 3jm) u + u
+    <= (3 b(N) + 1) u: the baby step, the giant step and the term's floor;
+    the block's floor adds u. As Σ_{N<=M} b(N) <= M Σ_{d<=M} φ(d)
+    <= M²(M+1)/2, the sum is off by less than (3M²(M+1)/2 + 2M) u
+    < 4 (M+1)³ u <= 2^(3L+2) u = ε. With the tail, direct is within 2ε of
+    log f(x); since log f(x) >= x/(1-x) >= 1/(2τ) >= 1/2, that is a
+    relative error below 2^(2-bits-guard).
 
     C and K enter the expansion at bits + guard, not rounded to bits: the
     residual cancels the leading digits of (C/2) τ^(-2).
@@ -317,11 +353,17 @@ def logf_expansion_check(tau, zeros: Sequence[ZetaZero] = (),
         with mp.workprec(prec + 8):
             X = int(mp.nint(mp.ldexp(mp.exp(-tau), prec)))
         b = _logf_weights(n_max)
+        m = math.isqrt(n_max)
+        baby = [X]  # x^1 .. x^m
+        for _ in range(m - 1):
+            baby.append(baby[-1] * X >> prec)
         acc = 0
-        xn = X
-        for N in range(1, n_max + 1):
-            acc += b[N] * xn // N
-            xn = (xn * X) >> prec
+        giant = 1 << prec  # x^(jm) for the block of N = jm+1 .. jm+m
+        for lo in range(1, n_max + 1, m):
+            hi = min(lo + m, n_max + 1)
+            block = sum(map(operator.floordiv, map(operator.mul, b[lo:hi], baby), range(lo, hi)))
+            acc += block * giant >> prec
+            giant = giant * baby[-1] >> prec
         direct = mp.ldexp(mp.mpf(acc), -prec)
 
         expansion = (C / 2 / tau ** 2

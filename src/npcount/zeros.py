@@ -155,6 +155,7 @@ def _refine_history(t0, ctx: PrecisionContext, seed_bits: int | None = None) -> 
 def refine_zero(t0, ctx: PrecisionContext = PrecisionContext(), seed_bits: int | None = None) -> HPReal:
     """Refine a seed t0 until |ζ(1/2 + i t)| <= 2**(24 - bits) + |ζ′| |δ| and t - δ rounds to t.
 
+    A t0 <= 0, or not finite, raises ValueError before any pass.
     seed_bits is what t0 holds, log2(t0/|t0 - t|). t is carried at the
     working precision W = bits + guard, and each Newton step evaluates ζ
     and ζ′ at its own precision w. A step from a t good to g = log2(t/|δ|)
@@ -181,20 +182,31 @@ def refine_zero(t0, ctx: PrecisionContext = PrecisionContext(), seed_bits: int |
     follows a step takes that step's ζ′ for δ: it was evaluated within
     t 2^(-W/2) of the rounded t, close enough for a correction of t 2^-bits.
     """
-    return _refine_history(t0, ctx, seed_bits)[0]
+    return _refine_history(_read_seed(t0, ctx), ctx, seed_bits)[0]
+
+
+def _read_seed(t0, ctx: PrecisionContext) -> HPReal:
+    """t0 read at the working precision; a t0 <= 0 or not finite raises ValueError."""
+    with ctx.working():
+        t = read_real(t0)
+    if not t > 0:
+        raise ValueError(f"zero seeds must have t > 0, got t0={mp.nstr(t, 12)}")
+    if not mp.isfinite(t):
+        raise ValueError(f"zero seeds must be finite, got t0={mp.nstr(t, 12)}")
+    return t
 
 
 def refine_catalog(zeros: Iterable[ZetaZero], ctx: PrecisionContext = PrecisionContext()) -> list[ZetaZero]:
     """Refine every zero not refined at ctx.bits; zeros refined at ctx.bits pass through.
 
-    A seed with t <= 0 raises ValueError before any zero is refined.
+    A seed with t <= 0, or not finite, raises ValueError before any zero is refined.
     Refined t that are not strictly increasing (two seeds Newton took to one
     zero, whose oscillation would count twice, or out of order) raise
     :class:`NonConvergenceError` naming both seeds and the t they reached.
     """
     seeds = list(zeros)
-    if low := [z.t for z in seeds if not z.t > 0]:
-        raise ValueError(f"zero seeds must have t > 0, got t0={mp.nstr(low[0], 12)}")
+    for z in seeds:
+        _read_seed(z.t, ctx)
     out = [z if z.bits == ctx.bits
            else ZetaZero(refine_zero(z.t, ctx, z.seed_bits), ctx.bits, seed_bits=ctx.bits)
            for z in seeds]

@@ -4,7 +4,8 @@ Sources: published table values for the counting sequences, the (h, d)
 triangle, the leading-term evaluations and the first three residue
 coefficients; independently computed oracle values (mpmath at 60 decimal
 digits) for special-function spot checks, recorded here so the suite does
-not depend on the library under test.
+not depend on the library under test. LOGF_DIRECT_192 is the exception: the
+library's own direct sum, frozen bit for bit so a kernel change shows.
 """
 
 # counts of height-n polygons, slopes in [0, 1): n = 0..10, then n = 100
@@ -69,6 +70,13 @@ GAMMA_AT_HALF_PLUS_I_14_134725141 = (
 )
 ZETA_DERIV_AT_MINUS_1 = "-0.165421143700450929213919660243"
 LOGF_DIRECT_AT_TAU_1 = "0.7831704291520187615769124"
+
+# logf-check's direct sum at 192 bits, every bit (60 digits read back at 192
+# bits give the same mpf): τ -> (terms, direct)
+LOGF_DIRECT_192 = {
+    "0.014": (12103, "3729.11849112097649056332309270786431888480944812159555455296"),
+    "0.01": (17012, "7308.4217598859975298848997557909076360750238699599974446573"),
+}
 
 # symmetric polygon counts for g = 1..8 (brute-force enumeration oracle)
 SYMMETRIC_COUNTS = (2, 3, 5, 8, 13, 20, 31, 47)

@@ -210,6 +210,32 @@ def logf_direct_reference(tau, bits):
                 return total
 
 
+def logf_tail_bound(tau, m, bits):
+    """(33/20) x^m (m/(1-x) + x/(1-x)^2) at x = e^-τ, at bits + 64.
+
+    An upper bound for Σ_{N>=m} (b(N)/N) x^N, as b(N) < ζ(2) N² and
+    33/20 > ζ(2); it decreases strictly in m.
+    """
+    with mp.workprec(bits + 64):
+        x = mp.exp(-mp.mpf(tau))
+        return mp.mpf(33) / 20 * x ** m * (m / (1 - x) + x / (1 - x) ** 2)
+
+
+def logf_term_count_reference(tau, bits, cap):
+    """The least M in [1, cap] with tail(M + 1) < 2^-bits, by bisection on :func:`logf_tail_bound`."""
+    eps = mp.mpf(2) ** -bits
+    if not logf_tail_bound(tau, cap + 1, bits) < eps:
+        raise ValueError("the tail at the cap is not below 2^-bits")
+    lo, hi = 0, cap  # tail(lo + 1) >= eps > tail(hi + 1), taking tail(1) >= eps
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if logf_tail_bound(tau, mid + 1, bits) < eps:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
 def zeta_derivative_reflection(s, bits):
     """ζ′(s) for ℜ(s) < 0 by the differentiated functional equation, at bits + 64.
 

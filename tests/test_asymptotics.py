@@ -345,6 +345,12 @@ class TestWave:
         with pytest.raises(ValueError):
             wave_sample(0, zeros25[:1], ctx)
 
+    @pytest.mark.parametrize("x", [float("inf"), mp.inf], ids=["float", "mpf"])
+    def test_rejects_infinite_x(self, ctx, zeros25, x):
+        # τ = (C/x)^(1/3) is 0 there, and the wave once read nan
+        with pytest.raises(ValueError, match="x must be positive and finite"):
+            wave_sample(x, zeros25[:1], ctx)
+
 
 class TestExpansionCheck:
     def test_direct_value_at_tau_1(self, ctx, zeros25):
@@ -424,6 +430,112 @@ class TestExpansionCheck:
                 return mp.mpf(33) / 20 * x ** m * (m / (1 - x) + x / (1 - x) ** 2)
 
             assert tail(chk.terms + 1) < eps <= tail(chk.terms)
+
+
+#: The smallest τ whose direct sum fits the term cap, as the TruncationError
+#: names it, at each precision of the term-count grid.
+TAU_FLOORS = {64: "1.87e-5", 192: "3.63e-5", 512: "8.05e-5", 1024: "1.52e-4"}
+
+
+def tau_grid(bits, points=8):
+    """τ = floor^(k/points), k = 0..points: from 1 down to the precision's floor, evenly in log τ."""
+    with mp.workprec(bits + amod.GUARD_BITS):
+        floor = mp.mpf(TAU_FLOORS[bits])
+        return [floor ** (mp.mpf(k) / points) for k in range(points + 1)]
+
+
+def tau_for_terms(terms, bits):
+    """A τ in (0, 1] whose direct sum at bits has exactly that many terms.
+
+    At the τ where tail(terms + 1/2) = 2^-(bits+guard), tail(terms + 1) is
+    below it and tail(terms) above; bisection in log τ finds that τ.
+    """
+    eps = mp.mpf(2) ** -(bits + amod.GUARD_BITS)
+    with mp.workprec(bits + 64):
+        lo, hi = mp.log(mp.mpf("1e-6")), mp.mpf(0)  # tail(terms + 1/2) >= eps at lo, < eps at hi
+        for _ in range(100):
+            mid = (lo + hi) / 2
+            if oracles.logf_tail_bound(mp.exp(mid), terms + mp.mpf(1) / 2, bits) < eps:
+                hi = mid
+            else:
+                lo = mid
+    with PrecisionContext(bits).working():
+        return +mp.exp(hi)
+
+
+class TestDirectSum:
+    """The term count M and the direct sum of :func:`logf_expansion_check`."""
+
+    @pytest.mark.parametrize("bits", [64, 192, 512, 1024])
+    def test_term_count_is_the_least_m_whose_tail_is_below_eps(self, bits):
+        ctx = PrecisionContext(bits)
+        wide = bits + amod.GUARD_BITS
+        eps = mp.mpf(2) ** -wide
+        for tau in tau_grid(bits):
+            terms = logf_term_count(tau, ctx)
+            assert oracles.logf_tail_bound(tau, terms + 1, wide) < eps, tau
+            assert eps <= oracles.logf_tail_bound(tau, terms, wide), tau
+            assert terms == oracles.logf_term_count_reference(tau, wide, amod._DIRECT_SUM_MAX_TERMS)
+
+    @pytest.mark.parametrize("bits", [64, 192, 512, 1024])
+    def test_term_count_takes_few_tail_bounds(self, monkeypatch, bits):
+        # a bisection over [0, cap] took about 23; the cap check is one of the 6
+        calls = 0
+        real = amod._logf_tail_bound
+
+        def counted(tau):
+            tail = real(tau)
+
+            def bound(m):
+                nonlocal calls
+                calls += 1
+                return tail(m)
+            return bound
+
+        monkeypatch.setattr(amod, "_logf_tail_bound", counted)
+        ctx = PrecisionContext(bits)
+        for tau in tau_grid(bits):
+            amod._logf_term_count.cache_clear()
+            calls = 0
+            logf_term_count(tau, ctx)
+            assert calls <= 6, (tau, calls)
+        amod._logf_term_count.cache_clear()
+
+    @pytest.mark.parametrize("bits", [64, 192])
+    @pytest.mark.parametrize("m", [13, 40])
+    @pytest.mark.parametrize("edge", [-1, 0, 1])
+    def test_direct_at_block_edges(self, bits, m, edge):
+        # the sum runs in blocks of isqrt(M) terms: M = m² - 1 ends on a short
+        # block of m - 1 terms, m² on a full block of m, m² + 1 on a block of one
+        terms = m * m + edge
+        tau = tau_for_terms(terms, bits)
+        chk = logf_expansion_check(tau, (), PrecisionContext(bits))
+        assert chk.terms == terms
+        want = oracles.logf_direct_reference(tau, bits)
+        with mp.workprec(bits + 64):
+            assert abs(chk.direct - want) <= abs(want) * mp.mpf(2) ** (8 - bits)
+
+    @pytest.mark.parametrize("terms", [1, 2, 3])
+    def test_direct_of_fewer_than_four_terms(self, monkeypatch, terms):
+        # no τ in (0, 1] needs fewer than 70 terms, so the count is forced:
+        # then direct is the partial sum Σ_{N<=M} (b(N)/N) x^N
+        monkeypatch.setattr(amod, "logf_term_count", lambda tau, ctx: terms)
+        ctx = PrecisionContext(64)
+        chk = logf_expansion_check("0.5", (), ctx)
+        assert chk.terms == terms
+        b = oracles.divisor_sum_weights(segment_exponents(SlopeRange.HALF_OPEN_01, terms), terms)
+        with mp.workprec(ctx.bits + 64):
+            x = mp.exp(-mp.mpf("0.5"))
+            want = sum(mp.mpf(b[n]) / n * x ** n for n in range(1, terms + 1))
+            assert abs(chk.direct - want) <= want * mp.mpf(2) ** (8 - ctx.bits)
+
+    @pytest.mark.parametrize("tau", list(golden.LOGF_DIRECT_192))
+    def test_direct_is_frozen_at_192_bits(self, tau):
+        ctx = PrecisionContext(192)
+        terms, direct = golden.LOGF_DIRECT_192[tau]
+        chk = logf_expansion_check(tau, (), ctx)
+        assert chk.terms == terms
+        assert chk.direct == ctx.real(direct)
 
 
 class TestPlainDecimalInput:

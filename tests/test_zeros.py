@@ -91,6 +91,15 @@ class TestLoading:
             assert mp.nzeros(237.1) == 100
 
 
+@pytest.fixture
+def no_pass(monkeypatch):
+    """Any ζ pass fails the test: the seeds must be refused before one runs."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a pass ran before the seeds were checked")
+    monkeypatch.setattr(zmod, "zeta_with_derivative", forbidden)
+    monkeypatch.setattr(zmod, "complex_zeta", forbidden)
+
+
 class TestRefinement:
     @pytest.mark.parametrize("seed,want", list(zip(("14.1347", "21.0220", "25.0109"),
                                                    golden.ZERO_T_8DP)))
@@ -179,6 +188,19 @@ class TestRefinement:
         monkeypatch.setattr(zmod, "complex_zeta", forbidden)
         seeds = bundled_zeros()[:1] + [ZetaZero(mp.mpf(t))]
         with pytest.raises(ValueError, match="t > 0"):
+            refine_catalog(seeds, PrecisionContext(64))
+
+    @pytest.mark.parametrize("t, message", [("-14.1347", "t > 0"), ("0", "t > 0"), (0, "t > 0"),
+                                            (float("inf"), "finite"), (mp.inf, "finite")],
+                             ids=["negative-text", "zero-text", "zero-int", "inf-float", "inf-mpf"])
+    def test_refine_zero_refuses_a_seed_not_above_zero_or_not_finite(self, no_pass, t, message):
+        # "-14.1347" once refined to -14.1347..., and inf raised mpmath's bare conversion error
+        with pytest.raises(ValueError, match=f"zero seeds must .*{message}"):
+            refine_zero(t, PrecisionContext(64))
+
+    def test_infinite_seed_is_rejected_before_any_pass(self, no_pass):
+        seeds = bundled_zeros()[:1] + [ZetaZero(mp.inf)]
+        with pytest.raises(ValueError, match="zero seeds must be finite"):
             refine_catalog(seeds, PrecisionContext(64))
 
     @pytest.mark.parametrize("text", ["14.13_47", "0.01_4", " 14.1347 ", "inf"])
