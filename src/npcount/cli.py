@@ -3,12 +3,16 @@
 Exit codes: 0 success, 2 usage error, 3 numeric failure (non-convergence,
 pole, truncation), 4 I/O error. Identical invocations produce
 byte-identical output.
+
+Output: CSV is a header line, then one line per row, each ending in "\n",
+with no quoting (no cell holds a comma, a quote or a newline). JSON is a
+list of objects, one per row, keyed by the header: indexes (n, h, d,
+index) are numbers, exact counts and floating values are strings. A
+floating value prints as --digits significant digits.
 """
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import sys
@@ -86,7 +90,8 @@ def _zeros(args, ctx, refine=True):
 
 
 # ---------------------------------------------------------------------------
-# row producers (one per subcommand, each set as its parser's ``rows`` default)
+# row producers (one per subcommand, each set as its parser's ``rows`` default);
+# each returns (header, rows), a row being a tuple of raw cells in header order
 # ---------------------------------------------------------------------------
 
 
@@ -94,18 +99,14 @@ def _rows_count(args, ctx):
     if not 0 <= args.max <= MAX_COUNT_HEIGHT:
         raise UsageError(f"--max must be in [0, {MAX_COUNT_HEIGHT}], got {args.max}")
     series = count_series(SlopeRange(args.range), args.max)
-    return ["n", "count"], [
-        {"n": n, "count": str(v)} for n, v in enumerate(series.values)
-    ]
+    return ["n", "count"], [(n, str(v)) for n, v in enumerate(series.values)]
 
 
 def _rows_rho(args, ctx):
     if not 0 <= args.max_height <= MAX_RHO_HEIGHT:
         raise UsageError(f"--max-height must be in [0, {MAX_RHO_HEIGHT}], got {args.max_height}")
     table = rho_recurrence_table(args.max_height)
-    return ["h", "d", "rho"], [
-        {"h": h, "d": d, "rho": str(v)} for h, d, v in table.entries()
-    ]
+    return ["h", "d", "rho"], [(h, d, str(v)) for h, d, v in table.entries()]
 
 
 def _rows_compare(args, ctx):
@@ -122,13 +123,8 @@ def _rows_compare(args, ctx):
             exact = mp.mpf(series[n])
             log_exact = mp.log(exact)
             est = full_estimate(n, zeros, ctx, slope_range=family)
-            rows.append({
-                "n": n,
-                "log10_count": mp.nstr(log_exact / ln10, args.digits),
-                "log10_leading": mp.nstr(est.log_main / ln10, args.digits),
-                "log10_estimate": mp.nstr(est.log_estimate / ln10, args.digits),
-                "residual_log": mp.nstr(log_exact - est.log_main, args.digits),
-            })
+            rows.append((n, log_exact / ln10, est.log_main / ln10, est.log_estimate / ln10,
+                         log_exact - est.log_main))
     return ["n", "log10_count", "log10_leading", "log10_estimate", "residual_log"], rows
 
 
@@ -150,16 +146,13 @@ def _rows_wave(args, ctx):
         for i in range(args.samples):
             x = (lo + (hi - lo) * i / steps if args.linear_x
                  else lo * (hi / lo) ** (mp.mpf(i) / steps))
-            y = wave_sample(x, first, ctx)
-            rows.append({"x": mp.nstr(x, args.digits), "y": mp.nstr(y, args.digits)})
+            rows.append((x, wave_sample(x, first, ctx)))
     return ["x", "y"], rows
 
 
 def _rows_zeros(args, ctx):
     zeros = _zeros(args, ctx, refine=args.action == "refine")
-    return ["index", "t"], [
-        {"index": i, "t": mp.nstr(z.t, args.digits)} for i, z in enumerate(zeros, start=1)
-    ]
+    return ["index", "t"], list(enumerate((z.t for z in zeros), start=1))
 
 
 def _rows_logf(args, ctx):
@@ -178,8 +171,7 @@ def _rows_logf(args, ctx):
     # smallest τ first: it needs the most terms, so its weight table serves every τ
     checks = {tau: logf_expansion_check(tau, zeros, ctx) for tau in sorted(set(taus))}
     columns = ["tau", "direct", "expansion", "residual"]
-    return columns, [{col: mp.nstr(getattr(checks[tau], col), args.digits) for col in columns}
-                     for tau in taus]
+    return columns, [tuple(getattr(checks[tau], col) for col in columns) for tau in taus]
 
 
 # ---------------------------------------------------------------------------
@@ -259,13 +251,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(header, rows, args) -> str:
+    """The one writer: each mpf cell as --digits significant digits, every
+    other cell as it is, in the format the module docstring states."""
+    rows = [[mp.nstr(cell, args.digits) if isinstance(cell, mp.mpf) else cell for cell in row]
+            for row in rows]
     if args.format == "json":
-        return json.dumps(rows, indent=2) + "\n"
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=header, lineterminator="\n")
-    writer.writeheader()
-    writer.writerows(rows)
-    return buf.getvalue()
+        return json.dumps([dict(zip(header, row)) for row in rows], indent=2) + "\n"
+    return "".join(",".join(map(str, row)) + "\n" for row in [header, *rows])
 
 
 def main(argv=None) -> int:

@@ -4,8 +4,10 @@ Sources: published table values for the counting sequences, the (h, d)
 triangle, the leading-term evaluations and the first three residue
 coefficients; independently computed oracle values (mpmath at 60 decimal
 digits) for special-function spot checks, recorded here so the suite does
-not depend on the library under test. LOGF_DIRECT_192 is the exception: the
-library's own direct sum, frozen bit for bit so a kernel change shows.
+not depend on the library under test. LOGF_DIRECT_192 and CLI_STDOUT_SHA256
+are the exceptions: the library's own direct sum, frozen bit for bit so a
+kernel change shows, and digests of the CLI's own stdout, frozen so a
+change of any printed byte shows.
 """
 
 # counts of height-n polygons, slopes in [0, 1): n = 0..10, then n = 100
@@ -83,3 +85,20 @@ SYMMETRIC_COUNTS = (2, 3, 5, 8, 13, 20, 31, 47)
 
 # [0, 1/2] counts for g = 0..8 (brute-force enumeration oracle)
 HALF_RANGE_COUNTS = (1, 1, 2, 3, 5, 8, 12, 19, 28)
+
+# SHA-256 of the CLI's stdout, as CSV and as JSON (default --bits and --digits
+# unless given): argv -> {format: hex digest}
+CLI_STDOUT_SHA256 = {
+    ("count", "--max", "300"): {
+        "csv": "dbdfd28a2686e25b46ec67168f3c5fca5815f5c235718a90b09551a0cd27658f",
+        "json": "a005a38c485c7fcf2b178d2699556f286845f59edcb0e5a4bceee7610d3ae7d1",
+    },
+    ("rho", "--max-height", "20"): {
+        "csv": "0851ff8f90262c8b226a70484dd6528e58ea446e536f10785442e196f94e3c62",
+        "json": "4d0d6dae6d6e9c6df45ce5ef81cd03badaa0d6f69695f8aea723d971d04979b0",
+    },
+    ("compare", "-n", "100", "--k-zeros", "3", "--bits", "128"): {
+        "csv": "f8d5b6d966d345c2e4f9cace88bbfabb11b4e1274dfd5fd20c363bbe1388b86d",
+        "json": "309e06721c83f314cdf5e1927351f5b91012e51f64442e516b6fad5dbe6f3d68",
+    },
+}

@@ -164,6 +164,24 @@ class TestResidueCoefficients:
         amod._zero_terms(zeros, ctx)
         assert tables == []
 
+    def test_evicted_zero_pays_its_own_passes(self, monkeypatch):
+        # a cache of two entries holds one zero's pairs: refining zero 2
+        # evicts zero 1's, so zero 1's c_γ takes ζ(γ+1) and ζ′(γ) from passes
+        # of its own, and still holds the bound
+        monkeypatch.setattr(special, "_PASS_CACHE_SIZE", 2)
+        ctx = PrecisionContext(128)
+        first, second = refine_catalog(bundled_zeros()[:2], ctx)
+        with ctx.working():
+            keys = {(mp.mpc(sigma, second.t), ctx) for sigma in (0.5, 1.5)}
+        assert set(special._pass_cache) == keys
+        tables, shifted = self._passes(monkeypatch)
+        [(t, c)] = amod._zero_terms([first], ctx)
+        assert len(tables) == 2 and shifted == [False, False]
+        assert set(special._pass_cache) == keys
+        want = oracles.residue_coefficient_reference(t, ctx.bits)
+        with mp.workprec(ctx.bits + 64):
+            assert abs(c - want) <= mp.mpf(2) ** (8 - ctx.bits) * abs(want)
+
     def test_zero_file_entry_just_above_the_strip(self, tmp_path, monkeypatch):
         # the 1518th zero: its check and its ζ(γ+1) take mpmath's ζ, not the pass
         amod._coefficient.cache_clear()

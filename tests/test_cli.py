@@ -1,5 +1,6 @@
 import argparse
 import csv
+import hashlib
 import io
 import json
 import re
@@ -86,14 +87,6 @@ class TestLogfCheck:
         assert first[0] == EXIT_OK
         assert first == second
 
-    def test_csv_and_json_carry_the_same_numbers(self, capsys):
-        code_csv, text_csv, _ = run(capsys, *self.ARGV)
-        code_json, text_json, _ = run(capsys, *self.ARGV, "--format", "json")
-        assert code_csv == code_json == EXIT_OK
-        rows = list(csv.DictReader(io.StringIO(text_csv)))
-        assert rows == json.loads(text_json)
-        assert list(rows[0]) == ["tau", "direct", "expansion", "residual"]
-
     def test_low_bits_residuals_keep_their_digits(self, capsys):
         # the residual cancels the leading digits of (C/2) tau^-2, so C and K
         # must not be rounded to --bits first; these are the 192-bit values
@@ -109,6 +102,15 @@ class TestLogfCheck:
         assert code == EXIT_NUMERIC
         assert out == ""
         assert "smallest tau that fits at 192 bits" in err
+
+    def test_no_tau_fits_under_the_cap(self, capsys, monkeypatch):
+        # tau = 1 needs 161 terms at 192 bits
+        monkeypatch.setattr(amod, "_DIRECT_SUM_MAX_TERMS", 10)
+        code, out, err = run(capsys, "logf-check", "--tau", "1", "--k-zeros", "0")
+        assert code == EXIT_NUMERIC
+        assert out == ""
+        assert "none: even tau=1 needs more terms" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("taus", [("2",), ("0.5", "2")])
     def test_bad_tau_is_rejected_before_refinement(self, capsys, monkeypatch, taus):
@@ -211,6 +213,47 @@ class TestLogfCheck:
 
 def csv_rows(text):
     return list(csv.DictReader(io.StringIO(text)))
+
+
+class TestOutput:
+    # subcommand -> (argv, header)
+    RUNS = {
+        "count": (("count", "--max", "30"), ["n", "count"]),
+        "rho": (("rho", "--max-height", "8"), ["h", "d", "rho"]),
+        "compare": (("compare", "-n", "10", "-n", "50", "--k-zeros", "2", "--bits", "128"),
+                    ["n", "log10_count", "log10_leading", "log10_estimate", "residual_log"]),
+        "wave": (("wave", "--xmin", "1", "--xmax", "100", "--samples", "3", "--bits", "64"),
+                 ["x", "y"]),
+        "zeros-dump": (("zeros", "dump", "--bits", "64"), ["index", "t"]),
+        "logf-check": ((*TestLogfCheck.ARGV, "--bits", "128"),
+                       ["tau", "direct", "expansion", "residual"]),
+    }
+    INDEXES = {"n", "h", "d", "index"}
+
+    @pytest.mark.parametrize("name", list(RUNS))
+    def test_csv_and_json_carry_the_same_numbers(self, capsys, name):
+        argv, header = self.RUNS[name]
+        code_csv, text_csv, _ = run(capsys, *argv)
+        code_json, text_json, _ = run(capsys, *argv, "--format", "json")
+        assert code_csv == code_json == EXIT_OK
+        rows = csv_rows(text_csv)
+        objects = json.loads(text_json)
+        assert rows == [{col: str(v) for col, v in obj.items()} for obj in objects]
+        assert list(rows[0]) == header
+        # CSV cells are joined without quoting, so none may need it
+        assert not any(ch in str(v) for obj in objects for v in obj.values() for ch in ',"\n')
+        # indexes are JSON numbers; counts and floating values are strings
+        assert all(isinstance(v, int) if col in self.INDEXES else isinstance(v, str)
+                   for obj in objects for col, v in obj.items())
+
+
+class TestFrozenBytes:
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("argv", list(golden.CLI_STDOUT_SHA256), ids=" ".join)
+    def test_stdout_keeps_its_bytes(self, capsys, argv, fmt):
+        code, out, _ = run(capsys, *argv, "--format", fmt)
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == golden.CLI_STDOUT_SHA256[argv][fmt]
 
 
 class TestCount:
