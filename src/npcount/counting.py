@@ -87,12 +87,11 @@ EXPONENT_ROWS = {
 class CountSeries(Record):
     """Exact counts a(0..limit) of one family, by height (by genus g for the symmetric counts)."""
 
-    __slots__ = ("slope_range", "limit", "values")
+    __slots__ = ("slope_range", "values")
 
-    def __init__(self, slope_range: SlopeRange, limit: int, values: tuple[int, ...]) -> None:
-        if len(values) != limit + 1:
-            raise ValueError("values must cover 0..limit")
-        super().__init__(slope_range, limit, values)
+    @property
+    def limit(self) -> int:
+        return len(self.values) - 1
 
     def __getitem__(self, n: int) -> int:
         return self.values[n]
@@ -123,16 +122,14 @@ def _series_from_weights(b: Sequence[int], limit: int) -> list[int]:
     """
     if any(v < 0 for v in b[1:limit + 1]):
         raise ValueError("weights b(k) must be >= 0")
-    a = [1] + [0] * limit
+    a = [1] + [0] * limit  # until n is solved, a[n] is Σ b(n-j) a(j) over the j folded in
     a_digits = ["1"] + [""] * limit
     b_digits = [str(v) for v in b[:limit + 1]]
-    brev = b[limit:0:-1]  # brev[limit - k] = b(k), so zip pairs b(n-j) with a(j)
-    s = [0] * (limit + 1)  # s[n]: Σ b(n-j) a(j) over the j already folded in
 
     def solve(lo: int, hi: int) -> None:
         if hi - lo <= _BASE_BLOCK:
             for n in range(max(lo, 1), hi):
-                q, r = divmod(s[n] + sum(map(mul, brev[limit - n + lo:limit], a[lo:n])), n)
+                q, r = divmod(a[n] + sum(map(mul, b[n - lo:0:-1], a[lo:n])), n)
                 if r:
                     raise ArithmeticError(
                         f"log-derivative recurrence not divisible at n={n}; "
@@ -151,7 +148,7 @@ def _series_from_weights(b: Sequence[int], limit: int) -> list[int]:
         for n in range(mid, hi):
             if end <= 0:
                 break
-            s[n] += int(prod[max(end - width, 0):end])
+            a[n] += int(prod[max(end - width, 0):end])
             end -= width
         solve(mid, hi)
 
@@ -198,4 +195,4 @@ def count_series(slope_range: SlopeRange, limit: int) -> CountSeries:
     if limit < 0:
         raise ValueError("limit must be >= 0")
     b = log_derivative_weights(slope_range, limit)
-    return CountSeries(slope_range, limit, tuple(_series_from_weights(b, limit)))
+    return CountSeries(slope_range, tuple(_series_from_weights(b, limit)))

@@ -21,7 +21,7 @@ paper's bilinear recurrence ρ(h,d) = Σ ρ(α,β) ρ(γ,γ-δ) over α+δ = h-d
 β+γ = d (split at slope 1/2 and shear both halves).
 
 Base cases: ρ(h,0) = 1 (the all-flat polygon) and ρ(h,d) = 0 for
-d >= max(1, h); everything outside the triangle reads as zero.
+d >= max(1, h).
 """
 from __future__ import annotations
 
@@ -33,23 +33,14 @@ from .record import Record
 
 
 class RhoTable(Record):
-    """Triangular exact-integer table ρ(h, d) for 0 <= d <= h <= max_height."""
+    """Triangular exact-integer table rows[h][d] = ρ(h, d) for 0 <= d <= h <= max_height."""
 
-    __slots__ = ("max_height", "rows")
-    max_height: int
+    __slots__ = ("rows",)
     rows: tuple[tuple[int, ...], ...]
 
-    def value(self, h: int, d: int) -> int:
-        """ρ(h, d) with zero-extension outside the stored triangle."""
-        if h < 0 or d < 0:
-            return 0
-        if d == 0:
-            return 1
-        if d >= max(1, h):
-            return 0
-        if h > self.max_height:
-            raise IndexError(f"h={h} beyond table height {self.max_height}")
-        return self.rows[h][d]
+    @property
+    def max_height(self) -> int:
+        return len(self.rows) - 1
 
     def entries(self):
         """Yield (h, d, ρ(h,d)) over the whole triangle, h then d ascending."""
@@ -95,5 +86,5 @@ def rho_recurrence_table(max_height: int) -> RhoTable:
             row.append(q)
         packed_rows.append(pack(row))
         rows.append(tuple(row) + (0,))
-    return RhoTable(max_height, tuple(rows))
+    return RhoTable(tuple(rows))
 

