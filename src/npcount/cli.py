@@ -23,7 +23,7 @@ from .asymptotics import full_estimate, logf_expansion_check, logf_term_count, w
 from .counting import SlopeRange, count_series
 from .precision import DEFAULT_BITS, PrecisionContext
 from .rho import rho_recurrence_table
-from .zeros import ZeroFileError, bundled_zeros, load_zeros, refine_catalog
+from .zeros import ZeroFileError, ZetaZero, bundled_zeros, load_zeros, refine_catalog
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -38,8 +38,9 @@ DEFAULT_ZERO_COUNT = 25
 # mpmath on its pure-Python backend); a value over a bound is a usage error
 # raised before any work starts.
 
-#: Largest ``count --max`` and ``compare -n``: count_series(10^5) takes
-#: 95-110 s at 0.6 GB peak RSS, and the cost grows about as n^2.
+#: Largest ``count --max`` and ``compare -n``: on one host in one hour,
+#: count_series(10^5) took 110-112 s at 0.6 GB peak RSS and count_series(2 10^4)
+#: 5.0-6.3 s at 62 MB, so the cost grows about as n^1.8 to n^1.9.
 MAX_COUNT_HEIGHT = 100_000
 
 #: Largest ``rho --max-height``: the table at h = 320 takes 5-7 s, and the
@@ -68,25 +69,82 @@ MAX_BITS = 1024
 #: 8.2 / 16 / 111 at 3e10 and 23 (64 bits) at 2.7e11; 1e30 ran out of memory.
 MAX_ZERO_HEIGHT = 10 ** 9
 
+#: Most zeros one run refines: --k-zeros, or every line for ``zeros refine``.
+#: The first 300 zeros (t <= 541) from 20-digit seeds take 4.7 s at 192 bits
+#: and 38 s at 1024; one zero takes 0.1 s near t = 240 and 0.48 s near 1400 at
+#: 1024 bits. The worst case it admits at 1024 bits is 300 zeros near the
+#: MAX_ZERO_HEIGHT peak, 276 s each: about 23 hours.
+MAX_ZERO_COUNT = 300
+
+
+class MissingZeroError(ArithmeticError):
+    """A --zero-file's first k zeros are not the first k zeros of ζ."""
+
+
+def check_first_zeros(zeros: list[ZetaZero]) -> None:
+    """Raise :class:`MissingZeroError` unless zeros are the first len(zeros) zeros of ζ.
+
+    zeros must be refined and strictly increasing, as :func:`refine_catalog`
+    returns them: k distinct zeros on the critical line. They are the first
+    k exactly when N(T) = k, N(T) the number of zeros with 0 < Im ρ <= T,
+    at a T between t_k and the next zero. T is t_k + δ, δ = 2^-8 / log t_k,
+    under 1/1600 of the mean spacing 2π / log(t / 2π). N is mpmath's
+    ``nzeros``: sign changes of Hardy's Z between Gram points, separated by
+    Rosser's rule, and the sign of Z at T, all in floating point.
+
+    What it certifies is what ``nzeros`` does, no more: it is not Turing's
+    method, which bounds S(t) and makes the count rigorous. A zero k + 1
+    within δ above t_k would read as a missing zero. On failure the first
+    missing index is the least j with N(t_j + δ) > j, found by bisection in
+    about log2 k more counts. A count took 8-30 ms up to t = 1400, 80 ms at
+    t = 9900 and 1.9 s at MAX_ZERO_HEIGHT.
+    """
+    def count(j):  # N(T) at T = t_j + δ
+        with mp.workprec(53):
+            t = +zeros[j - 1].t
+            return mp.nzeros(t + mp.mpf(2) ** -8 / mp.log(t))
+
+    k = len(zeros)
+    if k and count(k) != k:
+        lo, hi = 1, k
+        while lo < hi:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if count(mid) > mid else (mid + 1, hi)
+        raise MissingZeroError(f"the zeros are not the first {k}: zero {lo} is missing (more than "
+                               f"{lo} zeros lie up to entry {lo}, t = {mp.nstr(zeros[lo - 1].t, 15)})")
+
 
 def _zeros(args, ctx, refine=True):
     """The first --k-zeros zeros of --zero-file or the bundled table (all when
     k_zeros is None), refined at ctx unless refine is false.
 
     Row producers call it after their other input checks and before any
-    other work, so a bad k, a zero over MAX_ZERO_HEIGHT (usage errors) or a
-    seed Newton cannot refine fails first.
+    other work, so a bad k, too many zeros to refine or a zero over
+    MAX_ZERO_HEIGHT (usage errors), a seed Newton cannot refine, or a
+    --zero-file whose first k zeros are not the first k of ζ fails first.
+    The table's lines are all checked, and its line count bounds k, before
+    any seed is converted; only the first k are. The bundled table is not
+    run through the completeness check: a test shows its 100 zeros pass.
     """
-    zeros = load_zeros(args.zero_file) if args.zero_file else bundled_zeros()
-    if args.k_zeros is not None and not 0 <= args.k_zeros <= len(zeros):
-        raise UsageError(f"--k-zeros must be in [0, {len(zeros)}], got {args.k_zeros}")
-    zeros = zeros[:args.k_zeros]
+    k = args.k_zeros
+
+    def admit(lines):  # the table's line count, before any seed is converted
+        if k is not None and not 0 <= k <= lines:
+            raise UsageError(f"--k-zeros must be in [0, {lines}], got {k}")
+        wanted = lines if k is None else k
+        if refine and wanted > MAX_ZERO_COUNT:
+            raise UsageError(f"at most {MAX_ZERO_COUNT} zeros are refined in one run, got {wanted}")
+
+    zeros = load_zeros(args.zero_file, k, admit) if args.zero_file else bundled_zeros(k, admit)
     if not refine:
         return zeros
     top = max((z.t for z in zeros), default=0)
     if top > MAX_ZERO_HEIGHT:
         raise UsageError(f"--zero-file entries to refine must be <= {MAX_ZERO_HEIGHT:g}, got {top}")
-    return refine_catalog(zeros, ctx)
+    zeros = refine_catalog(zeros, ctx)
+    if args.zero_file and k is not None:
+        check_first_zeros(zeros)
+    return zeros
 
 
 # ---------------------------------------------------------------------------

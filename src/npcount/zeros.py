@@ -7,6 +7,12 @@ bundled table ships the first 100 zeros to 75 significant digits (about
 :func:`refine_zero` starts; every t it returns passed a check at the
 working precision, so results never depend on the seed table's accuracy.
 
+A table, bundled or a file, is read in two passes. The first checks every
+line (a plain decimal t > 0, above the line before it, compared exactly as
+decimals) and counts the lines; the second converts only the first k lines,
+the zeros a run sums, to 256-bit seeds. So a line past the k-th costs a run
+its check alone.
+
 Refinement is Newton's method on a precision ladder (Brent & Zimmermann,
 *Modern Computer Arithmetic*, 2010, §4.2): each step roughly doubles the
 bits of t that are right, so each step evaluates ζ and ζ′ at only about
@@ -17,13 +23,12 @@ takes no step: its one pass is the check.
 from __future__ import annotations
 
 import math
-from importlib import resources
 from pathlib import Path
 from typing import Iterable
 
 import mpmath as mp
 
-from .precision import GUARD_BITS, MIN_BITS, HPReal, PrecisionContext, read_real
+from .precision import GUARD_BITS, MIN_BITS, PLAIN_DECIMAL, HPReal, PrecisionContext, read_real
 from .record import Record
 from .special import BORWEIN_MAX_HEIGHT, complex_zeta, zeta_with_derivative
 
@@ -37,7 +42,7 @@ MAX_NEWTON_ITERATIONS = 60
 #: and each rung's height above half the next: W, W/2 + 8, W/4 + 12, ...
 LADDER_MARGIN = 8
 
-#: Zero tables are parsed at 256 bits, which hold the bundled 75 digits
+#: Seeds are converted at 256 bits, which hold the bundled 75 digits
 #: (about 245 bits); a seed is taken to hold at most this many bits.
 _TABLE_PRECISION = PrecisionContext(256)
 
@@ -72,42 +77,80 @@ class ZetaZero(Record):
         return self.t, self.bits
 
 
-def load_zeros(path) -> list[ZetaZero]:
-    """Parse a zero table: one finite decimal t > 0 per line, '#' comments, strictly increasing."""
+def load_zeros(path, k=None, admit=None) -> list[ZetaZero]:
+    """The first k seeds of a zero table file, every seed when k is None.
+
+    The file holds one finite decimal t > 0 per line, '#' comments and blank
+    lines aside, strictly increasing. Every line is checked, the lines past
+    the k-th too, and a line that fails raises :class:`ZeroFileError` naming
+    it. Only the first k lines are converted to 256-bit seeds. admit, if
+    given, is called with the file's line count once every line has passed,
+    before any line is converted, and may raise; a k outside [0, lines]
+    then raises ValueError.
+    """
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise ZeroFileError(f"{path}: not UTF-8 text: {exc}") from None
-    return _parse_zero_table(text, str(path))
+    return _read_table(text, str(path), k, admit)
 
 
-def bundled_zeros() -> list[ZetaZero]:
-    """The packaged table of the first 100 zeros (75 significant digits)."""
-    text = resources.files("npcount.data").joinpath("zeta_zeros.txt").read_text("utf-8")
-    return _parse_zero_table(text, "<bundled>")
+def bundled_zeros(k=None, admit=None) -> list[ZetaZero]:
+    """The first k of the packaged first 100 zeros (75 significant digits), all when k is None.
+
+    Every line is checked, as :func:`load_zeros` checks a file's, and only
+    the first k are converted; admit and k behave as there.
+    """
+    text = (Path(__file__).parent / "data" / "zeta_zeros.txt").read_text("utf-8")
+    return _read_table(text, "<bundled>", k, admit)
 
 
-def _parse_zero_table(text: str, origin: str) -> list[ZetaZero]:
-    zeros: list[ZetaZero] = []
+def _read_table(text: str, origin: str, k, admit) -> list[ZetaZero]:
+    """The first k entries of a zero table (all when k is None) as 256-bit seeds.
+
+    The first pass checks every entry: a plain decimal t > 0, above the
+    entry before it. Both tests are exact, on the digits: t = 0.d * 10^e, d
+    its significant digits without leading or trailing zeros, orders as
+    (e, d). The second pass converts the first k. Rounding keeps the order,
+    but may tie two entries; a tie fails as an entry out of order does.
+    """
+    entries = []  # (line number, text, decimal places: after the point, less the exponent)
     prev = None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        mantissa, _, exponent = line.lower().partition("e")
+        whole, _, fraction = mantissa.lstrip("+-").partition(".")
+        try:
+            if not PLAIN_DECIMAL.fullmatch(line):
+                raise ValueError
+            places = len(fraction) - int(exponent or 0)
+        except ValueError:  # int() also refuses an exponent of over 4300 digits
+            raise ZeroFileError(f"{origin}:{lineno}: not a decimal number: {line!r}") from None
+        digits = (whole + fraction).lstrip("0")
+        if not digits or line[0] == "-":
+            raise ZeroFileError(f"{origin}:{lineno}: t must be positive, got {line!r}")
+        key = (len(digits) - places, digits.rstrip("0"))
+        if prev is not None and not key > prev:
+            raise ZeroFileError(f"{origin}:{lineno}: values must be strictly increasing")
+        entries.append((lineno, line, places))
+        prev = key
+    if admit is not None:
+        admit(len(entries))
+    if k is not None and not 0 <= k <= len(entries):
+        raise ValueError(f"{origin}: k must be in [0, {len(entries)}], got {k}")
+    zeros = []
     with _TABLE_PRECISION.final():
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
+        for lineno, line, places in entries[:k]:
             try:
-                t = read_real(line)
-            except ValueError:
+                t = mp.mpf(line)
+            except ValueError:  # a mantissa of over 4300 digits, which int() refuses
                 raise ZeroFileError(f"{origin}:{lineno}: not a decimal number: {line!r}") from None
-            if not t > 0:
-                raise ZeroFileError(f"{origin}:{lineno}: t must be positive, got {line!r}")
-            if prev is not None and not t > prev:
+            if zeros and t == zeros[-1].t:
                 raise ZeroFileError(f"{origin}:{lineno}: values must be strictly increasing")
-            mantissa, _, exponent = line.lower().partition("e")
-            places = len(mantissa.partition(".")[2]) - int(exponent or 0)
             held = mp.mag(t) - 1 + math.floor(places * math.log2(10))  # t / 10^-places >= 2^held
             zeros.append(ZetaZero(t, seed_bits=min(held, _TABLE_PRECISION.bits)))
-            prev = t
     return zeros
 
 
@@ -217,4 +260,5 @@ def refine_catalog(zeros: Iterable[ZetaZero], ctx: PrecisionContext = PrecisionC
                 f"refine to t={mp.nstr(out[i - 1].t, 15)} and t={mp.nstr(out[i].t, 15)}; "
                 "refined zeros must be strictly increasing")
     return out
+
 

@@ -31,8 +31,11 @@ from npcount.cli import (
     MAX_COUNT_HEIGHT,
     MAX_RHO_HEIGHT,
     MAX_WAVE_SAMPLES,
+    MAX_ZERO_COUNT,
     MAX_ZERO_HEIGHT,
+    MissingZeroError,
     build_parser,
+    check_first_zeros,
     main,
 )
 
@@ -431,7 +434,7 @@ class TestZeroCount:
         code, out, err = run(capsys, *command, "--k-zeros", k)
         assert code == EXIT_USAGE
         assert out == ""
-        assert f"--k-zeros must be in [0, {len(bundled_zeros())}]" in err
+        assert f"--k-zeros must be in [0, {len(bundled_zeros())}], got {k}" in err
         assert "Traceback" not in err
 
     def test_zero_file_size_is_the_bound(self, capsys, monkeypatch, tmp_path):
@@ -444,6 +447,87 @@ class TestZeroCount:
         code, out, err = run(capsys, "compare", "-n", "10", "--k-zeros", "4", "--zero-file", str(path))
         assert code == EXIT_USAGE
         assert "--k-zeros must be in [0, 3], got 4" in err
+
+    def test_only_the_summed_seeds_are_converted(self, capsys, monkeypatch):
+        made, real = [], zmod.ZetaZero
+
+        def counting(t, bits=None, seed_bits=None):
+            made.append(bits)
+            return real(t, bits, seed_bits)
+        monkeypatch.setattr(zmod, "ZetaZero", counting)
+        code, _, _ = run(capsys, "logf-check", "--tau", "0.5", "--k-zeros", "3", "--bits", "128")
+        assert code == EXIT_OK
+        assert made.count(None) == 3  # seeds; the three refined zeros carry bits
+
+    @pytest.mark.parametrize("bad,message", [("abc", "not a decimal number: 'abc'"),
+                                             ("0", "t must be positive, got '0'"),
+                                             ("25.0109", "values must be strictly increasing")])
+    def test_zero_file_lines_past_k_are_checked(self, capsys, monkeypatch, tmp_path, bad, message):
+        path = tmp_path / "zeros.txt"
+        path.write_text(f"14.1347\n21.0220\n# comment\n25.0109\n{bad}\n")
+        self.forbid_work(monkeypatch)
+        for command in (("compare", "-n", "10", "--k-zeros", "1"),
+                        ("logf-check", "--tau", "0.5", "--k-zeros", "0"), ("zeros", "dump")):
+            code, out, err = run(capsys, *command, "--zero-file", str(path))
+            assert code == EXIT_IO
+            assert out == ""
+            assert f"npcount: I/O error: {path}:5: {message}" in err
+
+    def test_count_bound_fails_before_any_pass(self, capsys, monkeypatch, tmp_path):
+        path = tmp_path / "many.txt"
+        path.write_text("".join(f"{100 + i}.5\n" for i in range(MAX_ZERO_COUNT + 1)))
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a seed was converted or a pass ran before the count was checked")
+        monkeypatch.setattr("npcount.special._zeta_pair", forbidden)
+        monkeypatch.setattr(zmod, "ZetaZero", forbidden)
+        for command in (("zeros", "refine"),
+                        ("compare", "-n", "10", "--k-zeros", str(MAX_ZERO_COUNT + 1))):
+            code, out, err = run(capsys, *command, "--zero-file", str(path))
+            assert code == EXIT_USAGE
+            assert out == ""
+            assert (f"at most {MAX_ZERO_COUNT} zeros are refined in one run, "
+                    f"got {MAX_ZERO_COUNT + 1}") in err
+            assert "Traceback" not in err
+        monkeypatch.undo()
+        code, out, _ = run(capsys, "zeros", "dump", "--zero-file", str(path), "--bits", "64")
+        assert code == EXIT_OK  # dump refines nothing, so no bound
+        assert len(csv_rows(out)) == MAX_ZERO_COUNT + 1
+
+
+class TestFirstZeros:
+    """A --zero-file's first k zeros must be the first k zeros of ζ."""
+
+    def test_bundled_hundred_are_the_first_hundred(self, catalog):
+        check_first_zeros(catalog)
+
+    @pytest.mark.parametrize("missing", [1, 3, 50])
+    def test_a_gap_names_the_first_missing_index(self, catalog, missing):
+        zeros = catalog[:missing - 1] + catalog[missing:60]
+        with pytest.raises(MissingZeroError, match=f"zero {missing} is missing"):
+            check_first_zeros(zeros)
+
+    def test_an_empty_catalog_passes(self, monkeypatch):
+        monkeypatch.setattr(mp, "nzeros", None)
+        check_first_zeros([])
+
+    def test_a_gap_exits_numeric_before_any_estimate(self, capsys, monkeypatch, tmp_path):
+        path = tmp_path / "gap.txt"  # zeros 1, 2 and 4
+        path.write_text("14.134725141734693790\n21.022039638771554993\n30.424876125859513210\n")
+        code, out, _ = run(capsys, "compare", "-n", "1000", "--k-zeros", "2", "--zero-file", str(path))
+        assert code == EXIT_OK
+        for name in ("count_series", "full_estimate"):
+            monkeypatch.setattr(f"npcount.cli.{name}", lambda *a, **k: pytest.fail("estimate started"))
+        code, out, err = run(capsys, "compare", "-n", "1000", "--k-zeros", "3", "--zero-file", str(path))
+        assert code == EXIT_NUMERIC
+        assert out == ""
+        assert "npcount: numeric failure: the zeros are not the first 3: zero 3 is missing" in err
+        assert "Traceback" not in err
+
+    def test_bundled_table_is_not_counted_at_run_time(self, capsys, monkeypatch):
+        monkeypatch.setattr("npcount.cli.check_first_zeros", lambda *a: pytest.fail("counted"))
+        code, _, _ = run(capsys, "compare", "-n", "10", "--k-zeros", "3", "--bits", "64")
+        assert code == EXIT_OK
 
 
 class TestKernelCommands:

@@ -1,3 +1,7 @@
+import random
+import re
+from decimal import Decimal
+
 import mpmath as mp
 import pytest
 
@@ -89,6 +93,97 @@ class TestLoading:
         with mp.workdps(15):
             assert mp.nzeros(236.4) == 99
             assert mp.nzeros(237.1) == 100
+
+    @pytest.mark.parametrize("k", [0, 1, 3, 25, 99, 100])
+    def test_first_k_are_the_first_k_of_the_whole_table(self, k):
+        whole = bundled_zeros()
+        first = bundled_zeros(k)
+        assert [(z.t, z.bits, z.seed_bits) for z in first] == \
+            [(z.t, z.bits, z.seed_bits) for z in whole[:k]]
+
+    @pytest.mark.parametrize("k", [-1, 101])
+    def test_k_outside_the_table_is_refused(self, k):
+        with pytest.raises(ValueError, match=rf"k must be in \[0, 100\], got {k}"):
+            bundled_zeros(k)
+
+    def test_admit_sees_the_line_count_before_any_conversion(self, tmp_path, monkeypatch):
+        f = tmp_path / "zeros.txt"
+        f.write_text("# three\n14.1347\n\n21.0220\n25.0109\n")
+        seen = []
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a seed was converted before admit ran")
+
+        def admit(lines):
+            seen.append(lines)
+            raise RuntimeError("refused")
+        monkeypatch.setattr(zmod, "ZetaZero", forbidden)
+        with pytest.raises(RuntimeError, match="refused"):
+            load_zeros(f, 1, admit)
+        assert seen == [3]
+
+    @pytest.mark.parametrize("bad,message", [
+        ("abc", "not a decimal number: 'abc'"),
+        ("1e" + "9" * 5000, "not a decimal number"),  # int() reads no exponent this long
+        ("-3.0", "t must be positive, got '-3.0'"),
+        ("0.000e5", "t must be positive"),
+        ("25.0109", "values must be strictly increasing"),
+        ("2.50109e1", "values must be strictly increasing"),
+    ])
+    @pytest.mark.parametrize("k", [None, 0, 2, 3])
+    def test_every_line_is_checked_whatever_k(self, tmp_path, bad, message, k):
+        # line 5 is the fourth entry, past every k but None
+        f = tmp_path / "zeros.txt"
+        f.write_text(f"14.1347\n21.0220\n# comment\n25.0109\n{bad}\n")
+        with pytest.raises(ZeroFileError, match=f":5: {re.escape(message)}"):
+            load_zeros(f, k)
+
+    def test_a_tie_at_256_bits_is_refused_where_it_is_converted(self, tmp_path):
+        # the entries differ as decimals, but not in the 256 bits a seed holds
+        f = tmp_path / "zeros.txt"
+        f.write_text("14.1347\n14.1347" + "0" * 80 + "1\n21.0220\n")
+        assert len(load_zeros(f, 1)) == 1
+        with pytest.raises(ZeroFileError, match=":2: values must be strictly increasing"):
+            load_zeros(f, 2)
+
+    def test_a_mantissa_too_long_for_int_is_refused_where_it_is_converted(self, tmp_path):
+        f = tmp_path / "zeros.txt"
+        f.write_text("14.1347\n" + "2" + "1" * 5000 + "e-4999\n")  # 21.11...
+        assert len(load_zeros(f, 1)) == 1
+        with pytest.raises(ZeroFileError, match=":2: not a decimal number"):
+            load_zeros(f, 2)
+
+    def test_order_is_exact_on_the_decimal_digits(self, tmp_path):
+        # the check compares decimals, never binary roundings of them
+        rng = random.Random(5)
+        texts = []
+        for _ in range(400):
+            digits = "".join(rng.choice("0123456789") for _ in range(rng.randint(1, 6)))
+            point = rng.randint(0, len(digits))
+            text = "0" * rng.randint(0, 2) + digits[:point] + "." + digits[point:]
+            if rng.random() < 0.5:
+                text += f"e{rng.randint(-4, 4)}"
+            texts.append(text)
+        pairs = [(a, b) for a, b in zip(texts, texts[1:])
+                 if Decimal(a) > 0 and Decimal(b) > 0]
+        assert len(pairs) > 300
+        for a, b in pairs:
+            f = tmp_path / "pair.txt"
+            f.write_text(f"{a}\n{b}\n")
+            if Decimal(a) < Decimal(b):
+                assert len(load_zeros(f, 0)) == 0
+            else:
+                with pytest.raises(ZeroFileError, match=":2: values must be strictly increasing"):
+                    load_zeros(f, 0)
+
+    def test_far_exponents_are_compared_exactly(self, tmp_path):
+        # beyond the exponents decimal.Decimal holds; the zero-file bound refuses them later
+        f = tmp_path / "zeros.txt"
+        f.write_text("1e9999999999999999999999\n1.0000000000000000000000000000000000000000000000000000000000000000000000000000000000001e9999999999999999999999\n")
+        assert len(load_zeros(f, 0)) == 0
+        f.write_text("1e9999999999999999999999\n10e9999999999999999999998\n")
+        with pytest.raises(ZeroFileError, match=":2: values must be strictly increasing"):
+            load_zeros(f, 0)
 
 
 @pytest.fixture
