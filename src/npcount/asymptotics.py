@@ -80,22 +80,21 @@ class AsymptoticBreakdown(Record):
 
 @functools.lru_cache(maxsize=4096)
 def _coefficient(t: HPReal, bits: int) -> HPComplex:
-    """c_γ with ζ(γ-1) taken from ζ(γ+1) by the functional equation.
+    """c_γ = |Γ(γ) ζ(γ+1)|² conj(γ) (2π)^(γ-1)/π sin(π(γ-1)/2) / ζ′(γ), one modulus.
 
     ζ(s) = 2^s π^(s-1) sin(πs/2) Γ(1-s) ζ(1-s) at s = γ - 1, and on the
-    critical line 2 - γ = conj(γ+1), so Γ(2-γ) = conj(γ Γ(γ)) and
-    ζ(2-γ) = conj(ζ(γ+1)). For a t from :func:`refine_catalog`, ζ(γ+1)
-    and ζ′(γ) are cache hits: the residual check that ended the refinement
-    took both from one pass, so c_γ itself makes no pass in the strip.
+    critical line 2 - γ = conj(γ+1), so ζ(γ-1) carries conj(γ Γ(γ) ζ(γ+1)).
+    The factor |Γ(γ)|², which is π/cosh(πt), still comes from Γ(γ). For a
+    t from :func:`refine_catalog`, ζ(γ+1) and ζ′(γ) are cache hits: the
+    residual check that ended the refinement took both from one pass, so
+    c_γ itself makes no pass in the strip.
     """
     ctx = PrecisionContext(bits)
     with ctx.working():
         gamma = mp.mpc(mp.mpf(1) / 2, t)
-        gamma_fn = complex_gamma(gamma, ctx)
-        zeta_p1 = complex_zeta(gamma + 1, ctx)
-        zeta_m1 = (mp.power(2, gamma - 1) * mp.power(mp.pi, gamma - 2) * mp.sinpi((gamma - 1) / 2)
-                   * mp.conj(gamma * gamma_fn) * mp.conj(zeta_p1))
-        return ctx.round(gamma_fn * zeta_p1 * zeta_m1 / zeta_derivative(gamma, ctx))
+        modulus = abs(complex_gamma(gamma, ctx) * complex_zeta(gamma + 1, ctx)) ** 2
+        return ctx.round(modulus * mp.conj(gamma) * mp.power(2 * mp.pi, gamma - 1) / mp.pi
+                         * mp.sinpi((gamma - 1) / 2) / zeta_derivative(gamma, ctx))
 
 
 def _zero_terms(zeros: Sequence[ZetaZero], ctx: PrecisionContext) -> list[tuple[HPReal, HPComplex]]:
@@ -228,13 +227,14 @@ def _logf_term_count(tau: HPReal, ctx: PrecisionContext, cap: int) -> int:
     The float root of log tail(m) = log ε lands within a term or two of M,
     so the exact checks that then step to M take two or three tail bounds.
     """
-    cutoff = mp.mpf(2) ** (-(ctx.bits + GUARD_BITS))
+    wide = ctx.bits + GUARD_BITS
+    cutoff = mp.mpf(2) ** -wide
     tail = _logf_tail_bound(tau)
     if tail(cap + 1) >= cutoff:
         raise TruncationError(
             f"direct sum at tau={mp.nstr(tau, 6)} needs more than {cap} terms; "
-            f"the smallest tau that fits at {ctx.bits} bits is {_logf_tau_floor(cutoff, cap)}")
-    n = min(max(int(_logf_tail_root(float(tau), ctx.bits + GUARD_BITS)), 1), cap)
+            f"the smallest tau that fits at {ctx.bits} bits is {_logf_tau_floor(cutoff, cap, wide)}")
+    n = min(max(int(_logf_tail_root(float(tau), wide)), 1), cap)
     while tail(n + 1) >= cutoff:
         n += 1
     while n > 1 and tail(n) < cutoff:
@@ -242,42 +242,36 @@ def _logf_term_count(tau: HPReal, ctx: PrecisionContext, cap: int) -> int:
     return n
 
 
-def _logf_tail_root(tau: float, bits: int) -> float:
-    """The real m where log tail(m) = -bits log 2, by Newton's method in floats.
-
-    g(m) = log Z - m τ + log(m inv + x inv²) + bits log 2, inv = 1/(1-x), is
-    concave, and decreasing for m >= 1. Started at m = (log Z + bits log 2)/τ,
-    where g > 0, Newton's first step lands right of the root (the tangent
-    lies above g), and each later step stays right of it and falls to it.
-    """
+def _logf_log_tail(m: float, tau: float, bits: int) -> float:
+    """log tail(m) + bits log 2 in floats: log Z + bits log 2 - mτ + log(m/(1-x) + x/(1-x)²), x = e^-τ."""
     inv = -1 / math.expm1(-tau)
-    shift = math.exp(-tau) * inv * inv
-    a = math.log(_ZETA2_UPPER) + bits * math.log(2)
-    m = a / tau
-    for _ in range(100):
-        step = (a - m * tau + math.log(m * inv + shift)) / (inv / (m * inv + shift) - tau)
-        m -= step
-        if abs(step) < 1e-9 * m:
-            break
-    return m
+    return math.log(_ZETA2_UPPER) + bits * math.log(2) - m * tau + math.log((m + math.exp(-tau) * inv) * inv)
 
 
-def _logf_tau_floor(cutoff: HPReal, cap: int) -> str:
-    """The smallest τ in (0, 1], rounded up to 3 digits, whose sum fits in cap terms."""
+def _logf_tail_root(tau: float, bits: int) -> float:
+    """The model's root in m by mpmath's secant from (log Z + bits log 2)/τ; the mp bound then decides M."""
+    return mp.fp.findroot(lambda m: _logf_log_tail(m, tau, bits),
+                          (math.log(_ZETA2_UPPER) + bits * math.log(2)) / tau)
+
+
+def _logf_tau_floor(cutoff: HPReal, cap: int, bits: int) -> str:
+    """The smallest τ in (0, 1], rounded up to 3 digits, whose sum fits in cap terms.
+
+    The model's root in τ at m = cap + 1 is a start: rounded up to 3 digits,
+    it is raised one step at a time while the mp bound says it does not fit.
+    """
     def fits(tau):
         return _logf_tail_bound(tau)(cap + 1) < cutoff
 
-    lo, hi = mp.mpf(0), mp.mpf(1)
-    if not fits(hi):
+    if not fits(mp.mpf(1)):
         return "none: even tau=1 needs more terms"
-    while hi - lo > hi * mp.mpf("1e-6"):
-        mid = (lo + hi) / 2
-        if fits(mid):
-            hi = mid
-        else:
-            lo = mid
-    step = mp.mpf(10) ** (int(mp.floor(mp.log10(hi))) - 2)
-    return f"{float(mp.ceil(hi / step) * step):.3g}"
+    root = mp.fp.findroot(lambda tau: _logf_log_tail(cap + 1, tau, bits),
+                          (math.log(_ZETA2_UPPER) + bits * math.log(2)) / (cap + 1))
+    step = mp.mpf(10) ** (int(mp.floor(mp.log10(root))) - 2)
+    tau = mp.ceil(root / step) * step
+    while not fits(tau):
+        tau += step
+    return f"{float(tau):.3g}"
 
 
 #: The largest [0, 1) weight table built so far, b(0..len - 1), kept until

@@ -48,7 +48,6 @@ from __future__ import annotations
 
 import functools
 import math
-from collections import OrderedDict
 
 import mpmath as mp
 from mpmath.libmp import isqrt_fast, ln2_fixed, log_int_fixed, pi_fixed, to_fixed
@@ -245,11 +244,10 @@ def _zeta_pair(s: HPComplex, shifted: bool = False) -> tuple[HPComplex, ...]:
 
 
 #: (ζ, ζ′) at γ and at γ + 1 by (point, context), written only by the
-#: residual check's shifted pass at a refined zero γ, least recently used
-#: first: c_γ reads ζ′(γ) and ζ(γ+1) back without a pass of its own. Two
-#: entries per zero hold every zero of the strip (1518 have t <= 2000) at
-#: one precision.
-_pass_cache: OrderedDict = OrderedDict()
+#: residual check's shifted pass at a refined zero γ, oldest first: c_γ
+#: reads ζ′(γ) and ζ(γ+1) back without a pass of its own. Two entries per
+#: zero hold every zero of the strip (1518 have t <= 2000) at one precision.
+_pass_cache: dict = {}
 _PASS_CACHE_SIZE = 2 * 1518
 
 
@@ -266,7 +264,6 @@ def _zeta(s, ctx: PrecisionContext, orders: tuple[int, ...], shifted: bool = Fal
             raise PoleError("zeta pole at s = 1")
         key = (s, ctx)
         if key in _pass_cache:
-            _pass_cache.move_to_end(key)
             pair = _pass_cache[key]
         elif _in_borwein_strip(s, ctx.bits):
             values = _mirrored(lambda z: _zeta_pair(z, shifted), s, ctx)
@@ -274,7 +271,7 @@ def _zeta(s, ctx: PrecisionContext, orders: tuple[int, ...], shifted: bool = Fal
             if shifted:
                 _pass_cache[key], _pass_cache[(_shifted(s), ctx)] = pair, values[2:]
                 while len(_pass_cache) > _PASS_CACHE_SIZE:
-                    _pass_cache.popitem(last=False)
+                    del _pass_cache[next(iter(_pass_cache))]
         else:
             return _mirrored(lambda z: [mp.zeta(z, derivative=k) for k in orders], s, ctx)
         return tuple(pair[k] for k in orders)

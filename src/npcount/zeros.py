@@ -22,7 +22,7 @@ takes no step: its one pass is the check.
 """
 from __future__ import annotations
 
-import math
+import functools
 from pathlib import Path
 from typing import Iterable
 
@@ -149,9 +149,16 @@ def _read_table(text: str, origin: str, k, admit) -> list[ZetaZero]:
                 raise ZeroFileError(f"{origin}:{lineno}: not a decimal number: {line!r}") from None
             if zeros and t == zeros[-1].t:
                 raise ZeroFileError(f"{origin}:{lineno}: values must be strictly increasing")
-            held = mp.mag(t) - 1 + math.floor(places * math.log2(10))  # t / 10^-places >= 2^held
+            held = mp.mag(t) - 1 + _floor_places_log2_10(places)  # t / 10^-places >= 2^held
             zeros.append(ZetaZero(t, seed_bits=min(held, _TABLE_PRECISION.bits)))
     return zeros
+
+
+@functools.lru_cache  # a table's lines share a few place counts
+def _floor_places_log2_10(places: int) -> int:
+    """⌊places log2 10⌋, exact at any size, where a float product overflows past 308 digits."""
+    with mp.workprec(abs(places).bit_length() + 64):
+        return int(mp.floor(places * mp.ln10 / mp.ln2))
 
 
 def _refine_history(t0, ctx: PrecisionContext, seed_bits: int | None = None) -> tuple[HPReal, list[HPReal]]:

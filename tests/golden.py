@@ -4,10 +4,11 @@ Sources: published table values for the counting sequences, the (h, d)
 triangle, the leading-term evaluations and the first three residue
 coefficients; independently computed oracle values (mpmath at 60 decimal
 digits) for special-function spot checks, recorded here so the suite does
-not depend on the library under test. LOGF_DIRECT_192 and CLI_STDOUT_SHA256
-are the exceptions: the library's own direct sum, frozen bit for bit so a
-kernel change shows, and digests of the CLI's own stdout, frozen so a
-change of any printed byte shows.
+not depend on the library under test. LOGF_DIRECT_192, ZERO_TERMS_SHA256
+and CLI_STDOUT_SHA256 are the exceptions: the library's own direct sum,
+frozen bit for bit so a kernel change shows, digests of its own (t, c_γ)
+at every bundled zero, frozen so a change of any bit shows, and digests of
+the CLI's own stdout, frozen so a change of any printed byte shows.
 """
 
 # counts of height-n polygons, slopes in [0, 1): n = 0..10, then n = 100
@@ -78,6 +79,14 @@ LOGF_DIRECT_AT_TAU_1 = "0.7831704291520187615769124"
 LOGF_DIRECT_192 = {
     "0.014": (12103, "3729.11849112097649056332309270786431888480944812159555455296"),
     "0.01": (17012, "7308.4217598859975298848997557909076360750238699599974446573"),
+}
+
+# SHA-256 of the (t, c_γ) pairs of asymptotics._zero_terms over all 100 bundled
+# zeros, as the repr of a list of tuples of the ints in t._mpf_, Re c._mpf_ and
+# Im c._mpf_: bits -> hex digest
+ZERO_TERMS_SHA256 = {
+    64: "46aed057fe1fd30a0b4cdd6806b4031ce2cfe506a1dba37f885a560ec7ea146b",
+    192: "03d515eb51dfc2d654eecdbf7bdde6a4f06798a1aac2b0ddbf650e68497d34b3",
 }
 
 # symmetric polygon counts for g = 1..8 (brute-force enumeration oracle)

@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import itertools
 
 import mpmath as mp
@@ -95,6 +96,13 @@ class TestResidueCoefficients:
             with ctx.working():
                 want = ctx.round(mp.mpc(ctx.real(re_s), ctx.real(im_s)))
             assert rel(c, want) < mp.mpf("1e-6")
+
+    @pytest.mark.parametrize("bits", sorted(golden.ZERO_TERMS_SHA256))
+    def test_every_bundled_term_is_frozen(self, bits):
+        amod._coefficient.cache_clear()
+        terms = amod._zero_terms(bundled_zeros(), PrecisionContext(bits))
+        flat = repr([tuple(int(v) for x in (t, c.real, c.imag) for v in x._mpf_) for t, c in terms])
+        assert hashlib.sha256(flat.encode("utf-8")).hexdigest() == golden.ZERO_TERMS_SHA256[bits]
 
     @pytest.mark.parametrize("bits", [64, 192])
     def test_mixed_catalog_takes_the_refined_route(self, first25, bits):

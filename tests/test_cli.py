@@ -204,14 +204,20 @@ class TestLogfCheck:
         assert "direct sum at tau=0.02 needs more than 1000 terms" in err
         assert "Traceback" not in err
 
-    def test_reported_tau_floor_is_tight(self, capsys, monkeypatch):
-        ctx = PrecisionContext(192)
+    @pytest.mark.parametrize("bits", [64, 192, 1024])
+    def test_reported_tau_floor_is_tight(self, capsys, monkeypatch, bits):
+        ctx = PrecisionContext(bits)
         monkeypatch.setattr(amod, "_DIRECT_SUM_MAX_TERMS", 1000)
-        _, _, err = run(capsys, "logf-check", "--tau", "0.05", "--k-zeros", "0")
-        floor = re.search(r"fits at 192 bits is (\S+)$", err.strip()).group(1)
+        _, _, err = run(capsys, "logf-check", "--tau", "0.05", "--k-zeros", "0", "--bits", str(bits))
+        floor = re.search(rf"fits at {bits} bits is (\S+)$", err.strip()).group(1)
         assert logf_expansion_check(floor, (), ctx).terms <= 1000
         with pytest.raises(TruncationError):
             logf_expansion_check(float(floor) * 0.99, (), ctx)
+        # a float root 1% low: the exact bound steps it up to the same floor
+        model = amod._logf_log_tail
+        monkeypatch.setattr(amod, "_logf_log_tail", lambda m, tau, b: model(m, tau * 1.01, b))
+        _, _, skewed = run(capsys, "logf-check", "--tau", "0.05", "--k-zeros", "0", "--bits", str(bits))
+        assert skewed == err
 
 
 def csv_rows(text):
@@ -603,6 +609,20 @@ class TestKernelCommands:
         assert code == EXIT_NUMERIC
         assert out == ""
         assert "t0=14.13 and t0=14.14 refine to t=14.1347251417347 and t=14.1347251417347" in err
+        assert "Traceback" not in err
+
+    def test_exponent_of_hundreds_of_digits_is_read(self, capsys, tmp_path):
+        # seed_bits needs ⌊d log2 10⌋ at d = 10^400 - 1, past what a float holds
+        path = tmp_path / "zeros.txt"
+        path.write_text("1e-" + "9" * 400 + "\n")
+        code, out, err = run(capsys, "zeros", "dump", "--zero-file", str(path))
+        assert (code, err) == (EXIT_OK, "")
+        assert [row["index"] for row in csv_rows(out)] == ["1"]
+        assert csv_rows(out)[0]["t"].endswith("e-" + "9" * 400)
+        code, out, err = run(capsys, "zeros", "refine", "--zero-file", str(path))
+        assert code == EXIT_NUMERIC
+        assert out == ""
+        assert "did not reach" in err
         assert "Traceback" not in err
 
     def test_unrefinable_seed_fails_before_the_series(self, capsys, monkeypatch, tmp_path):

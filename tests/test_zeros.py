@@ -1,3 +1,4 @@
+import math
 import random
 import re
 from decimal import Decimal
@@ -69,12 +70,17 @@ class TestLoading:
             load_zeros(tmp_path / "nope.txt")
 
     def test_seed_bits_count_the_digits_after_the_point(self, tmp_path):
-        # t / 10^-d >= 2^seed_bits, d the places after the point less the exponent
+        # t / 10^-d >= 2^seed_bits, d the places after the point less the exponent,
+        # exact at any d: a float d log2 10 overflowed at a 400-digit exponent
         f = tmp_path / "zeros.txt"
-        f.write_text("14.1347\n2.10220e1\n25\n")
+        f.write_text("1e-" + "9" * 400 + "\n1e-5\n14.1347\n2.10220e1\n25\n")
         zs = load_zeros(f)
-        assert [z.seed_bits for z in zs] == [3 + 13, 4 + 13, 4]
-        assert zs[0] == ZetaZero(zs[0].t) and hash(zs[0]) == hash(ZetaZero(zs[0].t))  # not compared
+        assert [z.seed_bits for z in zs] == [-1, -1, 3 + 13, 4 + 13, 4]
+        assert zs[2] == ZetaZero(zs[2].t) and hash(zs[2]) == hash(ZetaZero(zs[2].t))  # not compared
+
+    def test_exact_floor_keeps_the_float_floor_where_that_is_exact(self):
+        for places in [*range(-2000, 2001), -10**5, 10**5, 99_999, -99_999]:
+            assert zmod._floor_places_log2_10(places) == math.floor(places * math.log2(10)), places
 
     def test_one_context_parses_as_each_line_alone(self):
         want = [_TABLE_PRECISION.real(line) for line in bundled_table()]
