@@ -199,16 +199,21 @@ _DIRECT_SUM_MAX_TERMS = 5_000_000
 _ZETA2_UPPER = mp.mpf(33) / 20
 
 
-def _logf_tail_bound(tau: HPReal):
-    """m -> an upper bound for Σ_{N>=m} (b(N)/N) x^N at x = e^(-τ), τ > 0.
+def _logf_log_tail(tau, bits: int, c=mp):
+    """m -> log tail(m) + bits log 2 in c (mp or math), tail(m) the direct sum's tail bound at τ > 0.
 
-    b(N) <= σ₂(N) < ζ(2) N², so the tail is below ζ(2) Σ_{N>=m} N x^N
-    = ζ(2) x^m (m/(1-x) + x/(1-x)²), which decreases strictly in m.
-    1 - x is taken as -expm1(-τ), which stays positive where x rounds to 1.
+    b(N) <= σ₂(N) < ζ(2) N² < Z N², Z = 33/20, so at x = e^(-τ) the tail
+    Σ_{N>=m} (b(N)/N) x^N is below Z x^m (m + x/(1-x)) / (1-x), and the
+    value is log Z + bits log 2 - mτ + log((m + x/(1-x)) / (1-x)), strictly
+    decreasing in m. 1/(1-x), from -expm1(-τ), which stays positive where x
+    rounds to 1, and x/(1-x) are computed once per τ. In mp a value >= 0
+    means tail(m) >= 2^-bits: that decides M, the cap check and the τ
+    floor. In floats (c = math) it starts both root searches, in m and in τ.
     """
-    x = mp.exp(-tau)
-    inv = 1 / -mp.expm1(-tau)
-    return lambda m: _ZETA2_UPPER * x ** m * (m * inv + x * inv * inv)
+    inv = -1 / c.expm1(-tau)
+    shift = c.exp(-tau) * inv
+    base = c.log(_ZETA2_UPPER) + bits * c.log(2)
+    return lambda m: base - m * tau + c.log((m + shift) * inv)
 
 
 def logf_term_count(tau, ctx: PrecisionContext) -> int:
@@ -228,44 +233,40 @@ def _logf_term_count(tau: HPReal, ctx: PrecisionContext, cap: int) -> int:
     so the exact checks that then step to M take two or three tail bounds.
     """
     wide = ctx.bits + GUARD_BITS
-    cutoff = mp.mpf(2) ** -wide
-    tail = _logf_tail_bound(tau)
-    if tail(cap + 1) >= cutoff:
+    log_tail = _logf_log_tail(tau, wide)
+    if log_tail(cap + 1) >= 0:
         raise TruncationError(
             f"direct sum at tau={mp.nstr(tau, 6)} needs more than {cap} terms; "
-            f"the smallest tau that fits at {ctx.bits} bits is {_logf_tau_floor(cutoff, cap, wide)}")
+            f"the smallest tau that fits at {ctx.bits} bits is {_logf_tau_floor(cap, wide)}")
     n = min(max(int(_logf_tail_root(float(tau), wide)), 1), cap)
-    while tail(n + 1) >= cutoff:
+    while log_tail(n + 1) >= 0:
         n += 1
-    while n > 1 and tail(n) < cutoff:
+    while n > 1 and log_tail(n) < 0:
         n -= 1
     return n
 
 
-def _logf_log_tail(m: float, tau: float, bits: int) -> float:
-    """log tail(m) + bits log 2 in floats: log Z + bits log 2 - mτ + log(m/(1-x) + x/(1-x)²), x = e^-τ."""
-    inv = -1 / math.expm1(-tau)
-    return math.log(_ZETA2_UPPER) + bits * math.log(2) - m * tau + math.log((m + math.exp(-tau) * inv) * inv)
-
-
 def _logf_tail_root(tau: float, bits: int) -> float:
-    """The model's root in m by mpmath's secant from (log Z + bits log 2)/τ; the mp bound then decides M."""
-    return mp.fp.findroot(lambda m: _logf_log_tail(m, tau, bits),
+    """The float model's root in m by mpmath's secant from (log Z + bits log 2)/τ; mp then decides M."""
+    return mp.fp.findroot(_logf_log_tail(tau, bits, math),
                           (math.log(_ZETA2_UPPER) + bits * math.log(2)) / tau)
 
 
-def _logf_tau_floor(cutoff: HPReal, cap: int, bits: int) -> str:
+def _logf_tau_floor(cap: int, bits: int) -> str:
     """The smallest τ in (0, 1], rounded up to 3 digits, whose sum fits in cap terms.
 
-    The model's root in τ at m = cap + 1 is a start: rounded up to 3 digits,
-    it is raised one step at a time while the mp bound says it does not fit.
+    The float model's root in τ at m = cap + 1 is a start: rounded up to 3
+    digits, it is raised one step at a time while the mp bound says it does
+    not fit. Where τ = 1 itself does not fit, the root lies above 1, and
+    the text says none fits rather than name it: that takes a cap of 70 or
+    less at 64 bits and 738 or less at 1024, never the 5·10⁶ of the CLI.
     """
     def fits(tau):
-        return _logf_tail_bound(tau)(cap + 1) < cutoff
+        return _logf_log_tail(tau, bits)(cap + 1) < 0
 
     if not fits(mp.mpf(1)):
         return "none: even tau=1 needs more terms"
-    root = mp.fp.findroot(lambda tau: _logf_log_tail(cap + 1, tau, bits),
+    root = mp.fp.findroot(lambda tau: _logf_log_tail(tau, bits, math)(cap + 1),
                           (math.log(_ZETA2_UPPER) + bits * math.log(2)) / (cap + 1))
     step = mp.mpf(10) ** (int(mp.floor(mp.log10(root))) - 2)
     tau = mp.ceil(root / step) * step

@@ -19,10 +19,11 @@ times the cost of its fixed-point Borwein ζ at the same point; the pass,
 which takes each power (k+1)^-s from those of the primes, gives both for
 a quarter to three fifths of the cost of that ζ (best of three at 224
 bits, ℜ s = 1/2 and 3/2, |ℑ s| from 14 to 237: 0.8–3.8 ms against
-1.4–15 ms). A bundled zero costs the program one pass at up to 213 bits:
-its seed already holds the working precision, so the pass is the check
-at the refined t (:func:`zeta_with_derivative` with ``shifted=True``),
-which also sums s + 1 from the same powers and weights. That pass gives
+1.4–15 ms). A bundled zero costs the program one pass up to 213 bits,
+the first 25 up to 214: its seed already holds the working precision
+(245 to 249 bits, W = bits + 32), so the pass is the check at the
+refined t (:func:`zeta_with_derivative` with ``shifted=True``), which
+also sums s + 1 from the same powers and weights. That pass gives
 the ζ′(γ) that c_γ divides by and the ζ(γ+1) of its residue, for less
 than two passes of their own (best of five over the first 25 zeros:
 39 ms against 30 + 33 ms at 192 bits, 0.82 s against 0.65 + 0.83 s at

@@ -22,7 +22,6 @@ takes no step: its one pass is the check.
 """
 from __future__ import annotations
 
-import functools
 from pathlib import Path
 from typing import Iterable
 
@@ -43,7 +42,7 @@ MAX_NEWTON_ITERATIONS = 60
 LADDER_MARGIN = 8
 
 #: Seeds are converted at 256 bits, which hold the bundled 75 digits
-#: (about 245 bits); a seed is taken to hold at most this many bits.
+#: (245 to 249 bits); a seed is taken to hold at most this many bits.
 _TABLE_PRECISION = PrecisionContext(256)
 
 
@@ -59,9 +58,9 @@ class ZetaZero(Record):
     """A zero 1/2 + i t with t > 0; `bits` is the precision t was refined at.
 
     A seed from a zero table has ``bits=None``, and `seed_bits`, the bits
-    its d decimal places hold (log2(t/10^-d), at most 256); a refined zero
-    has ``seed_bits=bits``. They choose where refinement starts and take no
-    part in equality.
+    its d decimal places hold: ⌊log2 N⌋ for N = t 10^d, the integer its
+    digits spell, at most 256; a refined zero has ``seed_bits=bits``. They
+    choose where refinement starts and take no part in equality.
     :func:`refine_catalog` is the only place where a zero is refined: every
     consumer of t, the residue coefficients included, takes its zeros
     through it, and it refines again every zero whose `bits` differ from the
@@ -113,8 +112,11 @@ def _read_table(text: str, origin: str, k, admit) -> list[ZetaZero]:
     its significant digits without leading or trailing zeros, orders as
     (e, d). The second pass converts the first k. Rounding keeps the order,
     but may tie two entries; a tie fails as an entry out of order does.
+    A seed's `seed_bits` (:class:`ZetaZero`) is the bit length less one of
+    the integer its first 256 digits spell: 256 digits already pass 2^256,
+    and keep int() below its 4300-digit limit.
     """
-    entries = []  # (line number, text, decimal places: after the point, less the exponent)
+    entries = []  # (line number, text, significant digits)
     prev = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -134,7 +136,7 @@ def _read_table(text: str, origin: str, k, admit) -> list[ZetaZero]:
         key = (len(digits) - places, digits.rstrip("0"))
         if prev is not None and not key > prev:
             raise ZeroFileError(f"{origin}:{lineno}: values must be strictly increasing")
-        entries.append((lineno, line, places))
+        entries.append((lineno, line, digits))
         prev = key
     if admit is not None:
         admit(len(entries))
@@ -142,23 +144,16 @@ def _read_table(text: str, origin: str, k, admit) -> list[ZetaZero]:
         raise ValueError(f"{origin}: k must be in [0, {len(entries)}], got {k}")
     zeros = []
     with _TABLE_PRECISION.final():
-        for lineno, line, places in entries[:k]:
+        for lineno, line, digits in entries[:k]:
             try:
                 t = mp.mpf(line)
             except ValueError:  # a mantissa of over 4300 digits, which int() refuses
                 raise ZeroFileError(f"{origin}:{lineno}: not a decimal number: {line!r}") from None
             if zeros and t == zeros[-1].t:
                 raise ZeroFileError(f"{origin}:{lineno}: values must be strictly increasing")
-            held = mp.mag(t) - 1 + _floor_places_log2_10(places)  # t / 10^-places >= 2^held
+            held = int(digits[:_TABLE_PRECISION.bits]).bit_length() - 1  # ⌊log2 N⌋, N = int(digits)
             zeros.append(ZetaZero(t, seed_bits=min(held, _TABLE_PRECISION.bits)))
     return zeros
-
-
-@functools.lru_cache  # a table's lines share a few place counts
-def _floor_places_log2_10(places: int) -> int:
-    """⌊places log2 10⌋, exact at any size, where a float product overflows past 308 digits."""
-    with mp.workprec(abs(places).bit_length() + 64):
-        return int(mp.floor(places * mp.ln10 / mp.ln2))
 
 
 def _refine_history(t0, ctx: PrecisionContext, seed_bits: int | None = None) -> tuple[HPReal, list[HPReal]]:
@@ -224,10 +219,11 @@ def refine_zero(t0, ctx: PrecisionContext = PrecisionContext(), seed_bits: int |
     and t - δ rounds back to t; otherwise the iteration goes on from t - δ.
     The term |ζ′| |δ| is the residual that rounding alone leaves, which
     exceeds 2**(24 - bits) once |ζ′| t >~ 2^24 (near t = 1.6e6). A seed
-    good to W bits goes straight to the check: a bundled seed (about 245
-    bits) costs this one pass up to 213 bits, a 20-decimal seed three at
-    192 bits. The check's pass (``zeta_with_derivative(..., shifted=True)``)
-    also sums s + 1, and caches ζ′(γ) and ζ(γ + 1) for the zero's c_γ.
+    good to W bits goes straight to the check: a bundled seed (245 to 249
+    bits) costs this one pass up to 213 bits, the first 25 up to 214, and a
+    20-decimal seed three at 192 bits. The check's pass
+    (``zeta_with_derivative(..., shifted=True)``) also sums s + 1, and
+    caches ζ′(γ) and ζ(γ + 1) for the zero's c_γ.
     Above the strip, where mpmath's ζ′ is a call of its own, a check that
     follows a step takes that step's ζ′ for δ: it was evaluated within
     t 2^(-W/2) of the rounded t, close enough for a correction of t 2^-bits.

@@ -133,7 +133,7 @@ class TestResidueCoefficients:
                             lambda s, *rest: shifted.append(rest == (True,)) or run_pass(s, *rest))
         return tables, shifted
 
-    @pytest.mark.parametrize("bits", [64, 192])
+    @pytest.mark.parametrize("bits", [64, 192, 214])
     def test_one_pass_per_bundled_zero(self, monkeypatch, bits):
         # the bundled seed holds the working precision: its one pass is the
         # check, which also sums γ + 1, and c_γ reads its ζ′(γ) and ζ(γ+1) back
@@ -513,20 +513,23 @@ class TestDirectSum:
 
     @pytest.mark.parametrize("bits", [64, 192, 512, 1024])
     def test_term_count_takes_few_tail_bounds(self, monkeypatch, bits):
-        # a bisection over [0, cap] took about 23; the cap check is one of the 6
+        # exact (mp) evaluations of the tail model: a bisection over [0, cap]
+        # took about 23; the cap check is one of the 6
         calls = 0
-        real = amod._logf_tail_bound
+        real = amod._logf_log_tail
 
-        def counted(tau):
-            tail = real(tau)
+        def counted(tau, bits, c=mp):
+            log_tail = real(tau, bits, c)
+            if c is not mp:
+                return log_tail
 
             def bound(m):
                 nonlocal calls
                 calls += 1
-                return tail(m)
+                return log_tail(m)
             return bound
 
-        monkeypatch.setattr(amod, "_logf_tail_bound", counted)
+        monkeypatch.setattr(amod, "_logf_log_tail", counted)
         ctx = PrecisionContext(bits)
         for tau in tau_grid(bits):
             amod._logf_term_count.cache_clear()

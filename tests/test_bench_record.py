@@ -10,9 +10,31 @@ _spec.loader.exec_module(bench_record)
 
 
 def _runs(walls, attempted, failed):
-    return [{"stamp": {}, "result": {"attempted": a, "failed": f, "correct": not f,
-                                     "metrics": {"wall_s": {"unit": "s", "value": w}}}}
+    return [{"stamp": {}, "summary": {"raw_wall_s": 2 * w},
+             "result": {"attempted": a, "failed": f, "correct": not f,
+                        "metrics": {"wall_s": {"unit": "s", "value": w}}}}
             for w, a, f in zip(walls, attempted, failed)]
+
+
+STDOUT = """\
+stamp {"bits": 192, "cpus": 2, "mpmath": "1.3.0"}
+wall_s                             0.0262       s      min 0.0251  median 0.0262  q1 0.0258  q3 0.0266  n=40
+setup_s                            0.0281       s      min 0.027  median 0.0281  q1 0.0277  q3 0.0285  n=160
+peak_rss_mb                        26.25        MB     min 26.1  median 26.25  q1 26.2  q3 26.3  n=40
+raw_wall_s                         0.0311       s      min 0.0287  median 0.0311  q1 0.03  q3 0.0325  n=40
+host_slowdown                      1.18         ratio  min 1.05  median 1.18  q1 1.12  q3 1.25  n=80
+fail_ratio                         0            ratio  failed 0 of 680
+{"correct": true, "attempted": 680, "failed": 0, "metrics": {"wall_s": {"unit": "s", "value": 0.0262}}}
+"""
+
+
+def test_parse_run_keeps_every_summary_line():
+    run = bench_record.parse_run(STDOUT)
+    assert run["stamp"] == {"bits": 192, "cpus": 2, "mpmath": "1.3.0"}
+    assert run["summary"] == {"wall_s": 0.0262, "setup_s": 0.0281, "peak_rss_mb": 26.25,
+                              "raw_wall_s": 0.0311, "host_slowdown": 1.18, "fail_ratio": 0.0}
+    assert run["result"] == {"correct": True, "attempted": 680, "failed": 0,
+                             "metrics": {"wall_s": {"unit": "s", "value": 0.0262}}}
 
 
 def test_summarize_synthetic_runs():
@@ -25,6 +47,7 @@ def test_summarize_synthetic_runs():
     assert wall["change_over_parent"] == pytest.approx(2 / 3)
     assert wall["parent_quartile_spread"] == 3.0  # 4.5 - 1.5
     assert wall["pairs_change_lower"] == 3  # pairs 1, 3 and 5; pair 2 is a tie
+    assert (wall["parent_raw_median"], wall["change_raw_median"]) == (6.0, 4.0)
     assert summary["invocations"] == {"parent": {"attempted": 85, "failed": 1},
                                       "change": {"attempted": 84, "failed": 3}}
 

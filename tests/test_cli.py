@@ -3,6 +3,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import re
 
 import mpmath as mp
@@ -215,7 +216,8 @@ class TestLogfCheck:
             logf_expansion_check(float(floor) * 0.99, (), ctx)
         # a float root 1% low: the exact bound steps it up to the same floor
         model = amod._logf_log_tail
-        monkeypatch.setattr(amod, "_logf_log_tail", lambda m, tau, b: model(m, tau * 1.01, b))
+        monkeypatch.setattr(amod, "_logf_log_tail",
+                            lambda tau, b, c=mp: model(tau * 1.01 if c is math else tau, b, c))
         _, _, skewed = run(capsys, "logf-check", "--tau", "0.05", "--k-zeros", "0", "--bits", str(bits))
         assert skewed == err
 
@@ -612,7 +614,8 @@ class TestKernelCommands:
         assert "Traceback" not in err
 
     def test_exponent_of_hundreds_of_digits_is_read(self, capsys, tmp_path):
-        # seed_bits needs ⌊d log2 10⌋ at d = 10^400 - 1, past what a float holds
+        # an exponent of 400 digits is checked but never converted: seed_bits
+        # comes from the mantissa's digits, and t from mpmath, which holds it
         path = tmp_path / "zeros.txt"
         path.write_text("1e-" + "9" * 400 + "\n")
         code, out, err = run(capsys, "zeros", "dump", "--zero-file", str(path))
@@ -624,6 +627,14 @@ class TestKernelCommands:
         assert out == ""
         assert "did not reach" in err
         assert "Traceback" not in err
+
+    def test_mantissa_of_thousands_of_digits_is_read(self, capsys, tmp_path):
+        # seed_bits reads the first 256 of 5001 digits, below int()'s limit of 4300
+        path = tmp_path / "zeros.txt"
+        path.write_text("1." + "0" * 5000 + "\n")
+        code, out, err = run(capsys, "zeros", "dump", "--zero-file", str(path))
+        assert (code, err) == (EXIT_OK, "")
+        assert [(row["index"], mp.mpf(row["t"])) for row in csv_rows(out)] == [("1", 1)]
 
     def test_unrefinable_seed_fails_before_the_series(self, capsys, monkeypatch, tmp_path):
         # Newton cannot refine t0 = 0.0001; count_series(20000) would run for seconds first

@@ -1,7 +1,7 @@
-import math
 import random
 import re
 from decimal import Decimal
+from fractions import Fraction
 
 import mpmath as mp
 import pytest
@@ -70,17 +70,36 @@ class TestLoading:
             load_zeros(tmp_path / "nope.txt")
 
     def test_seed_bits_count_the_digits_after_the_point(self, tmp_path):
-        # t / 10^-d >= 2^seed_bits, d the places after the point less the exponent,
-        # exact at any d: a float d log2 10 overflowed at a 400-digit exponent
+        # the largest s with 2^s <= t 10^d, d the places after the point less the
+        # exponent, at most 256: at any d (a 400-digit exponent is never converted)
+        # and any mantissa length (5001 digits would pass int()'s limit of 4300)
         f = tmp_path / "zeros.txt"
-        f.write_text("1e-" + "9" * 400 + "\n1e-5\n14.1347\n2.10220e1\n25\n")
+        f.write_text("1e-" + "9" * 400 + "\n1e-5\n1." + "0" * 5000 + "\n14.1347\n2.10220e1\n25\n")
         zs = load_zeros(f)
-        assert [z.seed_bits for z in zs] == [-1, -1, 3 + 13, 4 + 13, 4]
-        assert zs[2] == ZetaZero(zs[2].t) and hash(zs[2]) == hash(ZetaZero(zs[2].t))  # not compared
+        assert [z.seed_bits for z in zs] == [0, 0, 256, 17, 17, 4]
+        assert zs[3] == ZetaZero(zs[3].t) and hash(zs[3]) == hash(ZetaZero(zs[3].t))  # not compared
 
-    def test_exact_floor_keeps_the_float_floor_where_that_is_exact(self):
-        for places in [*range(-2000, 2001), -10**5, 10**5, 99_999, -99_999]:
-            assert zmod._floor_places_log2_10(places) == math.floor(places * math.log2(10)), places
+    def test_seed_bits_against_the_exact_integer(self, tmp_path):
+        # oracle: N = t 10^d as a Fraction; below the cap, 2^s <= N < 2^(s+1)
+        rng = random.Random(30)
+        lines = {}
+        for _ in range(300):
+            digits = str(rng.randrange(1, 10 ** rng.randrange(1, 90))) + "0" * rng.randrange(3)
+            point = rng.randrange(len(digits) + 1)
+            line = digits[:point] + "." + digits[point:] if point < len(digits) else digits
+            if rng.random() < 0.5:
+                line += f"e{rng.randrange(-40, 41)}"
+            lines.setdefault(Fraction(line), line)
+        f = tmp_path / "zeros.txt"
+        f.write_text("".join(lines[t] + "\n" for t in sorted(lines)))
+        for t, z in zip(sorted(lines), load_zeros(f)):
+            mantissa, _, exponent = lines[t].partition("e")
+            d = len(mantissa.partition(".")[2]) - int(exponent or 0)
+            n = t * Fraction(10) ** d
+            assert n.denominator == 1, lines[t]
+            s = z.seed_bits
+            assert 2 ** s <= n, lines[t]
+            assert s == 256 or n < 2 ** (s + 1), lines[t]
 
     def test_one_context_parses_as_each_line_alone(self):
         want = [_TABLE_PRECISION.real(line) for line in bundled_table()]

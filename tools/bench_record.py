@@ -9,11 +9,14 @@ own ``perfbench/run.py`` unchanged, for the run length that file sets,
 :data:`PAIRS` times on each side, in pairs that alternate which side runs
 first; each run is its own process with the checkout as working directory.
 Of each run it keeps the ``stamp {...}`` line (Python and mpmath versions,
-mpmath backend, ``--bits``, CPU count, source digest) and the final JSON
-line (metrics, attempted and failed invocations). The output file holds
-every kept run and, per workload, a summary: per metric both sides' medians,
-their ratio, the parent's quartile spread and the pairs the change read
-lower in, and under ``invocations`` each side's attempted and failed totals.
+mpmath backend, ``--bits``, CPU count, source digest), the run value of
+every summary line (``raw_wall_s`` and ``host_slowdown`` among them, which
+the final line does not carry) and the final JSON line (metrics, attempted
+and failed invocations). The output file holds every kept run and, per
+workload, a summary: per metric both sides' medians, their ratio, the
+parent's quartile spread and the pairs the change read lower in; beside
+``wall_s`` each side's median ``raw_wall_s``; and under ``invocations`` each
+side's attempted and failed totals.
 
 A checkout that holds a ``__pycache__`` directory under ``src/`` is refused:
 clients write no bytecode but read what is there, and skip compiling the
@@ -40,17 +43,29 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds)]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
-    lines = proc.stdout.splitlines()
-    if proc.returncode != 0 or not lines:
+    if proc.returncode != 0 or not proc.stdout.strip():
         raise RuntimeError(f"{checkout}: {' '.join(cmd[1:])} exited {proc.returncode}:\n{proc.stderr}")
+    return parse_run(proc.stdout)
+
+
+def parse_run(stdout: str) -> dict:
+    """A ``perfbench/run.py`` stdout as its stamp, each summary line's run value and its result.
+
+    The stamp line is ``stamp {...}``, the last line the result's JSON, and
+    every line between them a summary: its name, then its run value.
+    """
+    lines = stdout.splitlines()
     stamp = next(json.loads(line[len("stamp "):]) for line in lines if line.startswith("stamp "))
-    return {"stamp": stamp, "result": json.loads(lines[-1])}
+    values = {name: float(value) for name, value, *_ in
+              (line.split() for line in lines[:-1] if not line.startswith("stamp "))}
+    return {"stamp": stamp, "summary": values, "result": json.loads(lines[-1])}
 
 
 def summarize(runs: dict) -> dict:
     """Per metric: each side's median, their ratio, the parent's quartile spread
     and the number of pairs in which the change read lower (a tie counts for
-    neither side); under ``invocations``, each side's attempted and failed totals."""
+    neither side); beside ``wall_s``, each side's median ``raw_wall_s``; under
+    ``invocations``, each side's attempted and failed totals."""
     out = {}
     for name in runs["parent"][0]["result"]["metrics"]:
         vals = {side: [r["result"]["metrics"][name]["value"] for r in runs[side]] for side in SIDES}
@@ -60,6 +75,9 @@ def summarize(runs: dict) -> dict:
                      "change_over_parent": change / parent if parent else None,
                      "parent_quartile_spread": q3 - q1,
                      "pairs_change_lower": sum(c < p for p, c in zip(vals["parent"], vals["change"]))}
+    for side in SIDES:
+        out["wall_s"][f"{side}_raw_median"] = statistics.median(
+            r["summary"]["raw_wall_s"] for r in runs[side])
     out["invocations"] = {side: {key: sum(r["result"][key] for r in runs[side])
                                  for key in ("attempted", "failed")} for side in SIDES}
     return out
