@@ -103,12 +103,13 @@ def _zero_terms(zeros: Sequence[ZetaZero], ctx: PrecisionContext) -> list[tuple[
 
 
 def _oscillation_at_tau(tau: HPReal, terms: Sequence[tuple[HPReal, HPComplex]]) -> HPReal:
-    """osc(τ) = Σ 2 Re(c τ^(-γ)), c τ^(-γ) = c exp(-γ log τ) at γ = 1/2 + i t. Exactly real."""
+    """osc(τ) = Σ 2 Re(c τ^(-γ)) = (2/√τ) Σ (ℜc cos(t log τ) + ℑc sin(t log τ)) at γ = 1/2 + i t."""
     logtau = mp.log(tau)
     acc = mp.mpf(0)
     for t, c in terms:
-        acc += 2 * mp.re(c * mp.exp(-mp.mpc(mp.mpf(1) / 2, t) * logtau))
-    return acc
+        cos, sin = mp.cos_sin(t * logtau)
+        acc += c.real * cos + c.imag * sin
+    return 2 * acc / mp.sqrt(tau)
 
 
 # ---------------------------------------------------------------------------

@@ -39,8 +39,8 @@ DEFAULT_ZERO_COUNT = 25
 # raised before any work starts.
 
 #: Largest ``count --max`` and ``compare -n``: on one host in one hour,
-#: count_series(10^5) took 110-112 s at 0.6 GB peak RSS and count_series(2 10^4)
-#: 5.0-6.3 s at 62 MB, so the cost grows about as n^1.8 to n^1.9.
+#: count_series(10^5) took 58 s at 454 MB peak RSS and count_series(2 10^4)
+#: 2.9-3.4 s at 59 MB, so the cost grows about as n^1.8.
 MAX_COUNT_HEIGHT = 100_000
 
 #: Largest ``rho --max-height``: the table at h = 320 takes 5-7 s, and the

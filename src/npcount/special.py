@@ -23,14 +23,14 @@ bits, ℜ s = 1/2 and 3/2, |ℑ s| from 14 to 237: 0.8–3.8 ms against
 the first 25 up to 214: its seed already holds the working precision
 (245 to 249 bits, W = bits + 32), so the pass is the check at the
 refined t (:func:`zeta_with_derivative` with ``shifted=True``), which
-also sums s + 1 from the same powers and weights. That pass gives
+also sums ζ at s + 1 from the same powers and weights. That pass gives
 the ζ′(γ) that c_γ divides by and the ζ(γ+1) of its residue, for less
-than two passes of their own (best of five over the first 25 zeros:
-39 ms against 30 + 33 ms at 192 bits, 0.82 s against 0.65 + 0.83 s at
-1024). A seed good to fewer bits first climbs Newton's ladder, one pass
-per rung. Only the check's pass is cached, its pairs at γ and γ + 1
-keyed by (point, context), so the residue's calls at γ and γ + 1 cost no
-pass; any other call pays its own pass. With the bundled
+than two passes of their own (best of five over the first 25 zeros: 30
+against 52 ms at 192 bits, 0.35 against 0.70 s at 1024). A seed good to
+fewer bits first climbs Newton's ladder, one pass per rung. Only the
+check's pass is cached, (ζ, ζ′) at γ and ζ at γ + 1 keyed by (point,
+context), so the residue's calls at γ and γ + 1 cost no pass; any other
+call pays its own pass. With the bundled
 zeros the pass never runs at |ℑ s| > 237: no command or benchmark
 workload reaches the edge ℜ s = bits or |ℑ s| = :data:`BORWEIN_MAX_HEIGHT`,
 which only the tests check.
@@ -133,7 +133,7 @@ def _shifted(s: HPComplex) -> HPComplex:
 
 
 def _zeta_pair(s: HPComplex, shifted: bool = False) -> tuple[HPComplex, ...]:
-    """(ζ(s), ζ′(s)), then (ζ(s+1), ζ′(s+1)) if shifted, at mp.prec = W.
+    """(ζ(s), ζ′(s)), then ζ(s+1) if shifted, at mp.prec = W.
 
     The pass takes 1/2 <= σ = ℜ s and t = ℑ s >= 0.
 
@@ -147,8 +147,8 @@ def _zeta_pair(s: HPComplex, shifted: bool = False) -> tuple[HPComplex, ...]:
     ζ = η/q and ζ′ = (η′ - ζ q′)/q with q = 1 - 2^(1-s), q′ = 2^(1-s) ln 2.
     The powers and logs come from :func:`_powers`: one cos/sin per prime
     p <= n rather than one per term. The weights depend on n alone and
-    (k+1)^-(s+1) = (k+1)^-s/(k+1), so a shifted pass sums η and η′ at s + 1
-    in the same loop, from each term at s divided by k + 1.
+    (k+1)^-(s+1) = (k+1)^-s/(k+1), so a shifted pass sums η at s + 1 in
+    the same loop, from each term at s divided by k + 1.
 
     Weights. d_k = Σ_{i<=k} a_i with a_i = n (n+i-1)! 4^i / ((n-i)! (2i)!),
     the integers of ``libmp.gammazeta.borwein_coefficients``. The loop runs
@@ -179,7 +179,9 @@ def _zeta_pair(s: HPComplex, shifted: bool = False) -> tuple[HPComplex, ...]:
     E = W + ⌈σ⌉ + 2 l, where 2^-l <= |q| (l = 2 - mag q, q estimated at
     W): ζ′ divides η′ by q and η by q², and |ζ′(s)| is of order 2^-σ for
     large σ. A shifted pass takes E, and so n and wp, as the larger of the
-    two points' sizes.
+    two points' sizes (E at s + 1 still counts the ζ′ that is no longer
+    summed there, so the values at s and s + 1 stay those of the pass that
+    summed it).
 
     Rounding. The sums run in integers at wp bits, u = 2^-wp. For a prime
     p <= n, ln p is good to u, p^-σ to 4u, the angle t ln p to (|t| + 1)u
@@ -212,7 +214,7 @@ def _zeta_pair(s: HPComplex, shifted: bool = False) -> tuple[HPComplex, ...]:
     wp = target + math.ceil(math.log2(n * (1 + ln_n) * math.log2(n) * (tf * (1 + ln_n) + 12)))
     re_j, im_j, log_j = _powers(n, to_fixed(sigma._mpf_, wp), to_fixed(t._mpf_, wp), wp, sigma == 0.5)
     e_re = e_im = de_re = de_im = 0
-    f_re = f_im = df_re = df_im = 0  # the same four sums at s + 1
+    f_re = f_im = 0  # η at s + 1
     a = tail = 1 << (2 * n - 1)  # a_n and d_n - d_(n-1)
     for k in range(n - 1, -1, -1):
         j, log = k + 1, log_j[k + 1]
@@ -223,28 +225,24 @@ def _zeta_pair(s: HPComplex, shifted: bool = False) -> tuple[HPComplex, ...]:
         de_re += re * log
         de_im += im * log
         if shifted:
-            re, im = re // j, im // j
-            f_re += re
-            f_im += im
-            df_re += re * log
-            df_im += im * log
+            f_re += re // j
+            f_im += im // j
         a = a * (2 * k + 2) * (2 * k + 1) // (4 * (n + k) * (n - k))
         tail += a  # d_n - d_(k-1), and d_n once k = 0
     dn = tail
-    out = []
     with mp.workprec(wp):
-        for z, (s_re, s_im, ds_re, ds_im) in zip(points, ((e_re, e_im, de_re, de_im),
-                                                          (f_re, f_im, df_re, df_im))):
-            eta = mp.mpc(mp.mpf((s_re // -dn, -wp)), mp.mpf((s_im // -dn, -wp)))
-            deta = mp.mpc(mp.mpf((ds_re // dn, -2 * wp)), mp.mpf((ds_im // dn, -2 * wp)))
-            p = mp.power(2, 1 - z)
-            q = 1 - p
-            zeta = eta / q
-            out += [zeta, (deta - zeta * p * mp.ln2) / q]
-    return tuple(out)
+        p = mp.power(2, 1 - s)
+        q = 1 - p
+        zeta = mp.mpc(mp.mpf((e_re // -dn, -wp)), mp.mpf((e_im // -dn, -wp))) / q
+        deta = mp.mpc(mp.mpf((de_re // dn, -2 * wp)), mp.mpf((de_im // dn, -2 * wp)))
+        out = (zeta, (deta - zeta * p * mp.ln2) / q)
+        if shifted:
+            eta = mp.mpc(mp.mpf((f_re // -dn, -wp)), mp.mpf((f_im // -dn, -wp)))
+            out += (eta / (1 - mp.power(2, 1 - points[1])),)
+    return out
 
 
-#: (ζ, ζ′) at γ and at γ + 1 by (point, context), written only by the
+#: (ζ, ζ′) at γ and (ζ,) at γ + 1 by (point, context), written only by the
 #: residual check's shifted pass at a refined zero γ, oldest first: c_γ
 #: reads ζ′(γ) and ζ(γ+1) back without a pass of its own. Two entries per
 #: zero hold every zero of the strip (1518 have t <= 2000) at one precision.
@@ -255,26 +253,26 @@ _PASS_CACHE_SIZE = 2 * 1518
 def _zeta(s, ctx: PrecisionContext, orders: tuple[int, ...], shifted: bool = False) -> tuple[HPComplex, ...]:
     """(ζ^(k)(s) for k in orders), orders ⊆ (0, 1), each rounded by ctx.
 
-    A cached (s, ctx) costs no pass; otherwise one pass in the strip, else
-    mp.zeta. shifted: an in-strip pass also sums s + 1 and caches the pairs
-    at s and at s + 1; no other pass is cached.
+    A cached (s, ctx) that holds every order asked for costs no pass;
+    otherwise one pass in the strip, else mp.zeta. shifted: an in-strip
+    pass also sums ζ at s + 1 and caches (ζ, ζ′) at s and (ζ,) at s + 1;
+    no other pass is cached, so ζ′ at s + 1 costs a pass of its own.
     """
     with ctx.working():
         s = mp.mpc(s)
         if abs(s - 1) <= mp.mpf(2) ** (8 - ctx.bits):
             raise PoleError("zeta pole at s = 1")
         key = (s, ctx)
-        if key in _pass_cache:
-            pair = _pass_cache[key]
-        elif _in_borwein_strip(s, ctx.bits):
+        pair = _pass_cache.get(key, ())
+        if len(pair) <= max(orders):
+            if not _in_borwein_strip(s, ctx.bits):
+                return _mirrored(lambda z: [mp.zeta(z, derivative=k) for k in orders], s, ctx)
             values = _mirrored(lambda z: _zeta_pair(z, shifted), s, ctx)
             pair = values[:2]
             if shifted:
                 _pass_cache[key], _pass_cache[(_shifted(s), ctx)] = pair, values[2:]
                 while len(_pass_cache) > _PASS_CACHE_SIZE:
                     del _pass_cache[next(iter(_pass_cache))]
-        else:
-            return _mirrored(lambda z: [mp.zeta(z, derivative=k) for k in orders], s, ctx)
         return tuple(pair[k] for k in orders)
 
 
@@ -308,8 +306,8 @@ def zeta_with_derivative(s, ctx: PrecisionContext = PrecisionContext(),
     :func:`zeta_derivative` take at s (one Borwein pass in the strip), and
     are bit-identical to them; asked for separately, they cost a pass each.
     shifted, for the check at a refined zero γ = s: in the strip the one
-    pass also sums s + 1, and caches (ζ, ζ′) at s and at s + 1, so the
-    zero's c_γ reads ζ′(γ) and ζ(γ + 1) from the cache. Elsewhere it
+    pass also sums ζ at s + 1, and caches (ζ, ζ′) at s and ζ at s + 1, so
+    the zero's c_γ reads ζ′(γ) and ζ(γ + 1) from the cache. Elsewhere it
     changes nothing.
     """
     return _zeta(s, ctx, (0, 1), shifted)

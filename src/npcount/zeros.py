@@ -41,6 +41,10 @@ MAX_NEWTON_ITERATIONS = 60
 #: and each rung's height above half the next: W, W/2 + 8, W/4 + 12, ...
 LADDER_MARGIN = 8
 
+#: A mantissa holds at most int()'s default 4300 digits, less the trailing
+#: zeros of its fraction, which mpmath drops before it calls int().
+_INT_DIGITS = 4300
+
 #: Seeds are converted at 256 bits, which hold the bundled 75 digits
 #: (245 to 249 bits); a seed is taken to hold at most this many bits.
 _TABLE_PRECISION = PrecisionContext(256)
@@ -104,14 +108,21 @@ def bundled_zeros(k=None, admit=None) -> list[ZetaZero]:
     return _read_table(text, "<bundled>", k, admit)
 
 
+def _quoted(line: str) -> str:
+    """The line's first 32 characters as a literal, and '...' if it has more."""
+    return repr(line[:32]) + ("..." if len(line) > 32 else "")
+
+
 def _read_table(text: str, origin: str, k, admit) -> list[ZetaZero]:
     """The first k entries of a zero table (all when k is None) as 256-bit seeds.
 
-    The first pass checks every entry: a plain decimal t > 0, above the
-    entry before it. Both tests are exact, on the digits: t = 0.d * 10^e, d
+    The first pass checks every entry: a plain decimal t > 0 that the
+    second pass can convert (``_INT_DIGITS``), above the entry before it.
+    The sign and order tests are exact, on the digits: t = 0.d * 10^e, d
     its significant digits without leading or trailing zeros, orders as
     (e, d). The second pass converts the first k. Rounding keeps the order,
-    but may tie two entries; a tie fails as an entry out of order does.
+    but may tie two entries; a tie fails as an entry out of order does, and
+    is the one refusal that depends on k.
     A seed's `seed_bits` (:class:`ZetaZero`) is the bit length less one of
     the integer its first 256 digits spell: 256 digits already pass 2^256,
     and keep int() below its 4300-digit limit.
@@ -129,10 +140,12 @@ def _read_table(text: str, origin: str, k, admit) -> list[ZetaZero]:
                 raise ValueError
             places = len(fraction) - int(exponent or 0)
         except ValueError:  # int() also refuses an exponent of over 4300 digits
-            raise ZeroFileError(f"{origin}:{lineno}: not a decimal number: {line!r}") from None
+            raise ZeroFileError(f"{origin}:{lineno}: not a decimal number: {_quoted(line)}") from None
+        if len(whole) + len(fraction.rstrip("0")) > _INT_DIGITS:  # the digits mpmath's int() reads
+            raise ZeroFileError(f"{origin}:{lineno}: over {_INT_DIGITS} digits: {_quoted(line)}")
         digits = (whole + fraction).lstrip("0")
         if not digits or line[0] == "-":
-            raise ZeroFileError(f"{origin}:{lineno}: t must be positive, got {line!r}")
+            raise ZeroFileError(f"{origin}:{lineno}: t must be positive, got {_quoted(line)}")
         key = (len(digits) - places, digits.rstrip("0"))
         if prev is not None and not key > prev:
             raise ZeroFileError(f"{origin}:{lineno}: values must be strictly increasing")
@@ -145,10 +158,7 @@ def _read_table(text: str, origin: str, k, admit) -> list[ZetaZero]:
     zeros = []
     with _TABLE_PRECISION.final():
         for lineno, line, digits in entries[:k]:
-            try:
-                t = mp.mpf(line)
-            except ValueError:  # a mantissa of over 4300 digits, which int() refuses
-                raise ZeroFileError(f"{origin}:{lineno}: not a decimal number: {line!r}") from None
+            t = mp.mpf(line)
             if zeros and t == zeros[-1].t:
                 raise ZeroFileError(f"{origin}:{lineno}: values must be strictly increasing")
             held = int(digits[:_TABLE_PRECISION.bits]).bit_length() - 1  # ⌊log2 N⌋, N = int(digits)

@@ -636,6 +636,17 @@ class TestKernelCommands:
         assert (code, err) == (EXIT_OK, "")
         assert [(row["index"], mp.mpf(row["t"])) for row in csv_rows(out)] == [("1", 1)]
 
+    @pytest.mark.parametrize("k", ["1", "2"])
+    def test_mantissa_too_long_for_int_is_refused_whatever_k(self, capsys, tmp_path, k):
+        # line 2 is refused before any seed is refined, and quoted by its first characters
+        path = tmp_path / "zeros.txt"
+        path.write_text("1.5\n2." + "1" * 5000 + "\n")
+        code, out, err = run(capsys, "logf-check", "--tau", "0.5", "--bits", "64",
+                             "--k-zeros", k, "--zero-file", str(path))
+        assert (code, out) == (EXIT_IO, "")
+        assert f"{path}:2: over 4300 digits: '2.111" in err
+        assert len(err.encode()) - len(str(path)) < 100
+
     def test_unrefinable_seed_fails_before_the_series(self, capsys, monkeypatch, tmp_path):
         # Newton cannot refine t0 = 0.0001; count_series(20000) would run for seconds first
         def forbidden(*args, **kwargs):

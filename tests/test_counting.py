@@ -6,7 +6,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from npcount import CountSeries, SlopeRange, count_series, log_derivative_weights
-from npcount.counting import _BASE_BLOCK, _series_from_weights, smallest_prime_factors
+from npcount import counting
+from npcount.counting import (
+    _BASE_BLOCK,
+    _plane_layout,
+    _series_from_weights,
+    _transform_length,
+    smallest_prime_factors,
+)
 
 import golden
 import oracles
@@ -182,6 +189,82 @@ class TestCountSeries:
         e = [0] * (limit + 1)
         e[7] = e[300] = 1
         assert series_from_exponents(e, limit) == oracles.product_series(e, limit)
+
+
+class TestMiddleProduct:
+    """Each node's product: D limbs of every count, as planes M slots apart, times b(1..M)."""
+
+    LIMIT = 600
+
+    @classmethod
+    def weights(cls, kind):
+        """b(0..LIMIT): e(m) = 10^4 at every m ("dense") or every third m ("sparse"), or b = 33 ("flat").
+
+        The first two give counts of hundreds of digits, and "sparse" has
+        a(n) = 0 off the multiples of 3. "flat" gives a(n) = C(n + 32, n),
+        whose limbs fill the slots: L·b = 9900 at the top node, against the
+        10^4 that its four digits of L·max b allow.
+        """
+        if kind == "flat":
+            return [0] + [33] * cls.LIMIT
+        step = 3 if kind == "sparse" else 1
+        return divisor_sum_weights([0] + [10 ** 4 if m % step == 0 else 0
+                                          for m in range(1, cls.LIMIT + 1)], cls.LIMIT)
+
+    @staticmethod
+    def force(monkeypatch, narrowest, narrower_slots=0):
+        """Every node takes the most limbs no narrower than L·max b (or two), whatever its transform."""
+        chosen = []
+
+        def layout(L, M, digits, width, over):
+            d = max(digits // over, 1) if narrowest else min(2, max(digits // over, 1))
+            chosen.append(d)
+            s = -(-digits // d)
+            return (1, digits, width) if d == 1 else (d, s, s + over - narrower_slots)
+        monkeypatch.setattr(counting, "_plane_layout", layout)
+        return chosen
+
+    @pytest.mark.parametrize("kind", ["dense", "sparse"])
+    def test_planes_chosen_by_transform_length_equal_quadratic_reference(self, monkeypatch, kind):
+        b = self.weights(kind)
+        chosen = []
+
+        def spy(L, M, digits, width, over):
+            layout = _plane_layout(L, M, digits, width, over)
+            chosen.append(layout[0])
+            if layout[0] > 1:  # only a shorter transform replaces the whole counts
+                d, s, w = layout
+                assert s >= over and w == s + over and d * s >= digits
+                assert _transform_length(((d - 1) * M + L) * w, M * w) < \
+                    _transform_length(L * width, M * width)
+            return layout
+        monkeypatch.setattr(counting, "_plane_layout", spy)
+        assert _series_from_weights(b, self.LIMIT) == oracles.series_quadratic_reference(b, self.LIMIT)
+        assert 1 in chosen and max(chosen) >= 2
+
+    @pytest.mark.parametrize("kind", ["dense", "sparse", "flat"])
+    @pytest.mark.parametrize("narrowest", [True, False])
+    def test_narrowest_and_two_limb_planes_are_exact(self, monkeypatch, kind, narrowest):
+        b = self.weights(kind)
+        chosen = self.force(monkeypatch, narrowest)
+        assert _series_from_weights(b, self.LIMIT) == oracles.series_quadratic_reference(b, self.LIMIT)
+        assert max(chosen) >= (9 if narrowest else 2)
+
+    def test_slots_one_digit_narrower_carry(self, monkeypatch):
+        # the "flat" limbs reach the slot bound: one digit less and a carry
+        # spoils a needed slot, which the exact division then catches
+        self.force(monkeypatch, True, narrower_slots=1)
+        with pytest.raises(ArithmeticError, match="not divisible"):
+            _series_from_weights(self.weights("flat"), self.LIMIT)
+
+    @pytest.mark.parametrize("words,length", [
+        ((1,), 1024), ((1024,), 1024), ((1025,), 1536), ((1536,), 1536),
+        ((1537,), 2048), ((2048,), 2048), ((2049,), 3072), ((1000, 25), 1536),
+    ])
+    def test_transform_length_is_the_first_power_or_three_halves_power(self, words, length):
+        # digit counts of whole words, and one digit past a word
+        assert _transform_length(*(19 * w for w in words)) == length
+        assert _transform_length(19 * words[0] + 1, *(19 * w for w in words[1:])) >= length
 
 
 class TestSmallestPrimeFactors:

@@ -171,12 +171,23 @@ class TestLoading:
         with pytest.raises(ZeroFileError, match=":2: values must be strictly increasing"):
             load_zeros(f, 2)
 
-    def test_a_mantissa_too_long_for_int_is_refused_where_it_is_converted(self, tmp_path):
+    @pytest.mark.parametrize("k", [None, 0, 1, 2])
+    @pytest.mark.parametrize("line,read", [
+        ("2" + "1" * 5000 + "e-4999", False),  # 21.11...
+        ("0" * 4299 + "21.5", False),  # mpmath's int() reads the leading zeros too
+        ("21." + "1" * 4298, True),
+        ("21." + "1" * 4299, False),
+        ("21." + "1" * 4298 + "0" * 900, True),  # mpmath drops the fraction's trailing zeros
+    ], ids=["5001-digits", "leading-zeros", "4300-digits", "4301-digits", "trailing-zeros"])
+    def test_a_mantissa_too_long_for_int_is_refused_whatever_k(self, tmp_path, k, line, read):
         f = tmp_path / "zeros.txt"
-        f.write_text("14.1347\n" + "2" + "1" * 5000 + "e-4999\n")  # 21.11...
-        assert len(load_zeros(f, 1)) == 1
-        with pytest.raises(ZeroFileError, match=":2: not a decimal number"):
-            load_zeros(f, 2)
+        f.write_text(f"14.1347\n{line}\n")
+        if read:
+            assert len(load_zeros(f, k)) == (2 if k is None else k)
+            return
+        with pytest.raises(ZeroFileError, match=":2: over 4300 digits: '") as info:
+            load_zeros(f, k)
+        assert len(str(info.value)) < len(str(f)) + 100
 
     def test_order_is_exact_on_the_decimal_digits(self, tmp_path):
         # the check compares decimals, never binary roundings of them
