@@ -6,10 +6,10 @@ and f(τ) = F(e^(-τ)) has the Mellin expansion
     log f(τ) = (C/2) τ^(-2) - (1/6) log τ + log K + osc(τ) + o(1),
     osc(τ) = Σ_γ 2 Re(c_γ τ^(-γ)),   c_γ = Γ(γ) ζ(γ+1) ζ(γ-1) / ζ′(γ),
 
-one conjugate pair per non-trivial zeta zero γ = 1/2 + i t. The other
-families differ from [0, 1) only in the exponents e(m) at m = 1, 2
-(:data:`npcount.counting.EXPONENT_ROWS`), so each is a power of F
-times an elementary factor, and near τ = 0, as 1 - e^(-mτ) ~ mτ,
+one conjugate pair per non-trivial zeta zero γ = 1/2 + i t. A family's
+exponents e(m) = w φ(m) + d_m have Dirichlet series w ζ(s-1)/ζ(s) + d_1 +
+d_2 2^(-s) (:data:`npcount.counting.FAMILY_ROWS`), so each family is a
+power of F times an elementary factor, and near τ = 0, as 1 - e^(-mτ) ~ mτ,
 
     log f_range(τ) = w log f(τ) - p log τ + c + q τ + O(τ²):
 
@@ -21,8 +21,7 @@ times an elementary factor, and near τ = 0, as 1 - e^(-mτ) ~ mτ,
 
 As 1 - e^(-mτ) = mτ e^(-mτ/2) (1 + O(τ²)), a factor (1 - x^m)^(-d)
 adds -d log τ - d log m + d m τ / 2. So p = Σ d_m, c = -Σ d_m log m and
-q = Σ d_m m / 2 over the excess d_m = e(m) - w φ(m) at m = 1, 2
-(:func:`_saddle_row`).
+q = Σ d_m m / 2 over the excess d_m at m = 1, 2 (:func:`_saddle_row`).
 
 The saddle point of f_range(τ) e^(nτ) sits where n = w C τ^(-3), at
 τ = (wC/n)^(1/3), and the Gaussian factor there, 1/sqrt(2π · 3wC τ^(-4)),
@@ -53,7 +52,7 @@ from typing import Sequence
 
 import mpmath as mp
 
-from .counting import EXPONENT_ROWS, SlopeRange, log_derivative_weights
+from .counting import FAMILY_ROWS, SlopeRange, log_derivative_weights
 from .precision import GUARD_BITS, HPComplex, HPReal, PrecisionContext, read_real
 from .record import Record
 from .special import complex_gamma, complex_zeta, constant_C, constant_K, zeta_derivative
@@ -125,13 +124,11 @@ def _tau(x, w, ctx: PrecisionContext) -> HPReal:
 def _saddle_row(slope_range: SlopeRange) -> tuple[float, float, float, float]:
     """(w, p, c / log 2, q) with log f_range(τ) = w log f(τ) - p log τ + c + q τ + O(τ²).
 
-    Read off the excess d_m = e(m) - w φ(m) at m = 1, 2, where φ(m) = 1:
-    p = d_1 + d_2, c = -d_2 log 2 (log 1 = 0) and q = (d_1 + 2 d_2) / 2.
-    Every entry is a multiple of 1/4, so the floats are exact.
+    The row (h, a_1, a_2) gives w = 1/h and the excess d_m = a_m / h, so p = d_1 + d_2,
+    c = -d_2 log 2 (log 1 = 0), q = (d_1 + 2 d_2) / 2, and with h <= 2 each float is exact.
     """
-    w, e1, e2 = EXPONENT_ROWS[slope_range]
-    d1, d2 = e1 - w, e2 - w
-    return float(w), float(d1 + d2), float(-d2), float((d1 + 2 * d2) / 2)
+    h, a1, a2 = FAMILY_ROWS[slope_range]
+    return 1 / h, (a1 + a2) / h, -a2 / h, (a1 + 2 * a2) / (2 * h)
 
 
 def full_estimate(n: int, zeros: Sequence[ZetaZero],

@@ -9,9 +9,9 @@ working precision, so results never depend on the seed table's accuracy.
 
 A table, bundled or a file, is read in two passes. The first checks every
 line (a plain decimal t > 0, above the line before it, compared exactly as
-decimals) and counts the lines; the second converts only the first k lines,
-the zeros a run sums, to 256-bit seeds. So a line past the k-th costs a run
-its check alone.
+decimals, and not rounding to its 256-bit seed) and counts the lines; the
+second converts only the first k lines, the zeros a run sums, to 256-bit
+seeds. So a line past the k-th costs a run its check alone.
 
 Refinement is Newton's method on a precision ladder (Brent & Zimmermann,
 *Modern Computer Arithmetic*, 2010, §4.2): each step roughly doubles the
@@ -48,6 +48,10 @@ _INT_DIGITS = 4300
 #: Seeds are converted at 256 bits, which hold the bundled 75 digits
 #: (245 to 249 bits); a seed is taken to hold at most this many bits.
 _TABLE_PRECISION = PrecisionContext(256)
+
+#: Significant digits on which the check pass compares neighbouring entries
+#: for a tie at 256 bits: 90 digits are good to 2^-295 of t.
+_HEAD_DIGITS = 90
 
 
 class ZeroFileError(ValueError):
@@ -120,15 +124,17 @@ def _read_table(text: str, origin: str, k, admit) -> list[ZetaZero]:
     second pass can convert (``_INT_DIGITS``), above the entry before it.
     The sign and order tests are exact, on the digits: t = 0.d * 10^e, d
     its significant digits without leading or trailing zeros, orders as
-    (e, d). The second pass converts the first k. Rounding keeps the order,
-    but may tie two entries; a tie fails as an entry out of order does, and
-    is the one refusal that depends on k.
+    (e, d). Rounding to 256 bits keeps the order, but may tie two entries,
+    which then fails as an entry out of order does: neighbours whose first
+    ``_HEAD_DIGITS`` digits, as integers at t's exponent, differ by less than
+    2^-250 of the smaller (a tie needs under 2^-254) are both converted and
+    compared. The second pass converts the first k, and refuses nothing.
     A seed's `seed_bits` (:class:`ZetaZero`) is the bit length less one of
     the integer its first 256 digits spell: 256 digits already pass 2^256,
     and keep int() below its 4300-digit limit.
     """
-    entries = []  # (line number, text, significant digits)
-    prev = None
+    entries = []  # (text, significant digits)
+    prev = None  # (key, head, text) of the entry before
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -147,20 +153,25 @@ def _read_table(text: str, origin: str, k, admit) -> list[ZetaZero]:
         if not digits or line[0] == "-":
             raise ZeroFileError(f"{origin}:{lineno}: t must be positive, got {_quoted(line)}")
         key = (len(digits) - places, digits.rstrip("0"))
-        if prev is not None and not key > prev:
-            raise ZeroFileError(f"{origin}:{lineno}: values must be strictly increasing")
-        entries.append((lineno, line, digits))
-        prev = key
+        head = int(digits[:_HEAD_DIGITS].ljust(_HEAD_DIGITS, "0"))  # t = 0.head 10^key[0]
+        if prev is not None:
+            prev_key, prev_head, prev_line = prev
+            if not key > prev_key:
+                raise ZeroFileError(f"{origin}:{lineno}: values must be strictly increasing")
+            below = prev_head // 10 ** min(key[0] - prev_key[0], _HEAD_DIGITS)  # at t's exponent
+            if (head - below < below >> 250
+                    and _TABLE_PRECISION.real(prev_line) == _TABLE_PRECISION.real(line)):
+                raise ZeroFileError(f"{origin}:{lineno}: values must be strictly increasing")
+        entries.append((line, digits))
+        prev = key, head, line
     if admit is not None:
         admit(len(entries))
     if k is not None and not 0 <= k <= len(entries):
         raise ValueError(f"{origin}: k must be in [0, {len(entries)}], got {k}")
     zeros = []
     with _TABLE_PRECISION.final():
-        for lineno, line, digits in entries[:k]:
+        for line, digits in entries[:k]:
             t = mp.mpf(line)
-            if zeros and t == zeros[-1].t:
-                raise ZeroFileError(f"{origin}:{lineno}: values must be strictly increasing")
             held = int(digits[:_TABLE_PRECISION.bits]).bit_length() - 1  # ⌊log2 N⌋, N = int(digits)
             zeros.append(ZetaZero(t, seed_bits=min(held, _TABLE_PRECISION.bits)))
     return zeros

@@ -110,4 +110,28 @@ CLI_STDOUT_SHA256 = {
         "csv": "f8d5b6d966d345c2e4f9cace88bbfabb11b4e1274dfd5fd20c363bbe1388b86d",
         "json": "309e06721c83f314cdf5e1927351f5b91012e51f64442e516b6fad5dbe6f3d68",
     },
+    ("count", "--max", "300", "--range", "closed"): {
+        "csv": "9cb146a87e2f3a3757de0cd6e4b1b95a5f371b85ee6ca99ddbf683cca7099542",
+        "json": "b6f28a9b9bcbb6131667b3737a978bfbd30376d8017a37010597fab4ce7c6fa5",
+    },
+    ("count", "--max", "300", "--range", "half"): {
+        "csv": "4fe04646620e23533a9bce8ceaadce813ef358c8d26355158f91ae36b98a020d",
+        "json": "cb0a66f0b9bb1e27d33663ab9541255fa6695e3cf457271411003df67496cd06",
+    },
+    ("count", "--max", "300", "--range", "symmetric"): {
+        "csv": "f69d346e421780e725c6d2a8fcc394ee9d14538300a0b468aa7c90f7c34a7eb0",
+        "json": "29f68b70a99468d6dc650ca04912228d413357a1d41fd4af74930e7eb391c818",
+    },
+    ("compare", "-n", "100", "--k-zeros", "3", "--bits", "128", "--range", "closed"): {
+        "csv": "1f753fad1856b91012df1bfd75053acd42f55144c3ea56ea6aced6da59096aa9",
+        "json": "848b41bcffc045b434e0cd6b9312bfdcc4b518807ea6dbd3c152250e88ee8276",
+    },
+    ("compare", "-n", "100", "--k-zeros", "3", "--bits", "128", "--range", "half"): {
+        "csv": "260280a2e471b9d1638cefae41260b833a3742171c4dbb36e7f2c104bf4c1120",
+        "json": "1d10ae526111110633443b40917c9117b32f1ae267cda779d2a5328b5c67bcaf",
+    },
+    ("compare", "-n", "100", "--k-zeros", "3", "--bits", "128", "--range", "symmetric"): {
+        "csv": "fcf8025ce7db337b18b0fa2b0db05f4ee5a8b1b47193059c5a3075fd048d551b",
+        "json": "37851bb5d02ad7a0ae3514e115b612a9ddb068adecb0fce93c9f5aa05405e1a7",
+    },
 }

@@ -9,7 +9,7 @@ from typing import Iterable, Sequence
 import mpmath as mp
 
 from npcount import SlopeRange
-from npcount.counting import EXPONENT_ROWS, _series_from_weights
+from npcount.counting import FAMILY_ROWS, _series_from_weights
 
 
 def product_series(exponents, limit):
@@ -58,17 +58,16 @@ def totient_sieve(limit: int) -> list[int]:
 
 
 def segment_exponents(slope_range: SlopeRange, limit: int) -> list[int]:
-    """e(m) for m = 1..limit from the family's row of ``EXPONENT_ROWS``; index 0 is 0.
+    """e(m) = (φ(m) + a_m) / h for m = 1..limit, from the family's ``FAMILY_ROWS`` row; e(0) = 0.
 
     For a slope range, e(m) = #{n : n/m in range, gcd(m, n) = 1}. φ(m) is
     even for m >= 3, so halving it with ``//`` is exact.
     """
     if limit < 1:
         raise ValueError("limit must be >= 1")
-    w, e1, e2 = EXPONENT_ROWS[slope_range]
-    num, den = w.numerator, w.denominator
-    e = [v * num // den for v in totient_sieve(limit)]
-    e[1:3] = (e1, e2)[:limit]
+    h, a1, a2 = FAMILY_ROWS[slope_range]
+    e = [v // h for v in totient_sieve(limit)]
+    e[1:3] = [(1 + a) // h for a in (a1, a2)][:limit]
     return e
 
 

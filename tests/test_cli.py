@@ -647,6 +647,18 @@ class TestKernelCommands:
         assert f"{path}:2: over 4300 digits: '2.111" in err
         assert len(err.encode()) - len(str(path)) < 100
 
+    @pytest.mark.parametrize("argv", [("zeros", "dump"),
+                                      ("logf-check", "--tau", "0.5", "--bits", "64", "--k-zeros", "1")],
+                             ids=["dump", "logf-check-k1"])
+    def test_tie_at_256_bits_is_refused_whatever_k(self, capsys, tmp_path, argv):
+        # two lines that round to one seed; logf-check sums only line 1
+        path = tmp_path / "zeros.txt"
+        path.write_text("14.1347\n14.1347" + "0" * 80 + "1\n")
+        code, out, err = run(capsys, *argv, "--zero-file", str(path))
+        assert (code, out) == (EXIT_IO, "")
+        assert f"{path}:2: values must be strictly increasing" in err
+        assert "Traceback" not in err
+
     def test_unrefinable_seed_fails_before_the_series(self, capsys, monkeypatch, tmp_path):
         # Newton cannot refine t0 = 0.0001; count_series(20000) would run for seconds first
         def forbidden(*args, **kwargs):

@@ -125,9 +125,10 @@ def test_precision_context_rejects_a_non_int(bits):
 
 
 def test_importing_the_package_loads_neither_dataclasses_nor_inspect():
-    # a fresh interpreter: this process already imports dataclasses through tests/oracles.py
+    # a fresh interpreter: this process already imports dataclasses through tests/oracles.py;
+    # fractions too: the family rows are integers, and importing it costs about 1 ms
     code = ("import sys, npcount, npcount.cli; npcount.bundled_zeros(); "
-            "print(sorted({'dataclasses', 'inspect'} & sys.modules.keys()))")
+            "print(sorted({'dataclasses', 'fractions', 'inspect'} & sys.modules.keys()))")
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"

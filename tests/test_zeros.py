@@ -163,13 +163,40 @@ class TestLoading:
         with pytest.raises(ZeroFileError, match=f":5: {re.escape(message)}"):
             load_zeros(f, k)
 
-    def test_a_tie_at_256_bits_is_refused_where_it_is_converted(self, tmp_path):
-        # the entries differ as decimals, but not in the 256 bits a seed holds
+    @pytest.mark.parametrize("k", [None, 0, 1, 2])
+    @pytest.mark.parametrize("first,second,read", [
+        ("14.1347", "14.1347" + "0" * 80 + "1", False),
+        ("9." + "9" * 89, "10", False),  # 10 - 10^-89 rounds up to 10
+        ("1." + "2" * 69, "1." + "2" * 69 + "3", True),  # 70 digits agree: 2^-231 apart
+        ("1." + "2" * 75, "1." + "2" * 75 + "3", True),  # 2^-251 apart: converted, no tie
+    ], ids=["81-digits", "power-of-ten", "70-digits-agree", "76-digits-agree"])
+    def test_a_tie_at_256_bits_is_refused_whatever_k(self, tmp_path, k, first, second, read):
+        # the entries differ as decimals; a tie leaves them one 256-bit seed
         f = tmp_path / "zeros.txt"
-        f.write_text("14.1347\n14.1347" + "0" * 80 + "1\n21.0220\n")
-        assert len(load_zeros(f, 1)) == 1
+        f.write_text(f"{first}\n{second}\n21.0220\n")
+        if read:
+            zs = load_zeros(f, k)
+            assert len(zs) == (3 if k is None else k)
+            assert all(a.t < b.t for a, b in zip(zs, zs[1:]))
+            return
         with pytest.raises(ZeroFileError, match=":2: values must be strictly increasing"):
-            load_zeros(f, 2)
+            load_zeros(f, k)
+
+    def test_the_check_pass_converts_only_near_ties(self, tmp_path, monkeypatch):
+        # with k = 0 every conversion is the check's; the bundled table crosses
+        # 100 (98.83 to 101.31), which its heads compare at one exponent
+        converted = []
+
+        def spy(x):
+            converted.append(x)
+            return mp.mpf(x)
+        monkeypatch.setattr("npcount.precision.read_real", spy)
+        bundled_zeros(0)
+        assert converted == []
+        f = tmp_path / "zeros.txt"
+        f.write_text("1." + "2" * 75 + "\n1." + "2" * 75 + "3\n")
+        load_zeros(f, 0)
+        assert len(converted) == 2
 
     @pytest.mark.parametrize("k", [None, 0, 1, 2])
     @pytest.mark.parametrize("line,read", [
@@ -214,9 +241,14 @@ class TestLoading:
 
     def test_far_exponents_are_compared_exactly(self, tmp_path):
         # beyond the exponents decimal.Decimal holds; the zero-file bound refuses them later
+        far = "e9999999999999999999999"
         f = tmp_path / "zeros.txt"
-        f.write_text("1e9999999999999999999999\n1.0000000000000000000000000000000000000000000000000000000000000000000000000000000000001e9999999999999999999999\n")
+        f.write_text(f"1{far}\n1.{'0' * 68}1{far}\n")
         assert len(load_zeros(f, 0)) == 0
+        # 10^-85 apart, these two round to one 256-bit seed
+        f.write_text(f"1{far}\n1.{'0' * 84}1{far}\n")
+        with pytest.raises(ZeroFileError, match=":2: values must be strictly increasing"):
+            load_zeros(f, 0)
         f.write_text("1e9999999999999999999999\n10e9999999999999999999998\n")
         with pytest.raises(ZeroFileError, match=":2: values must be strictly increasing"):
             load_zeros(f, 0)
