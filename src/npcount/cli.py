@@ -38,9 +38,10 @@ DEFAULT_ZERO_COUNT = 25
 # mpmath on its pure-Python backend); a value over a bound is a usage error
 # raised before any work starts.
 
-#: Largest ``count --max`` and ``compare -n``: on one host in one hour,
-#: count_series(10^5) took 58 s at 454 MB peak RSS and count_series(2 10^4)
-#: 2.9-3.4 s at 59 MB, so the cost grows about as n^1.8.
+#: Largest ``count --max`` and ``compare -n``: on one host in one hour, in
+#: fresh processes, count_series(10^5) took 54-77 s (median 69 s of 9 runs)
+#: at 416 MB peak RSS and count_series(2 10^4) 2.6-3.7 s at 55 MB, so the
+#: cost grows about as n^2.
 MAX_COUNT_HEIGHT = 100_000
 
 #: Largest ``rho --max-height``: the table at h = 320 takes 5-7 s, and the

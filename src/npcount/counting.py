@@ -18,9 +18,9 @@ The sum is evaluated as a semi-relaxed convolution (van der Hoeven,
 and each a(n) is needed as soon as its sum is complete, so the range
 [lo, hi) is split at mid, [lo, mid) is solved first, the contribution of
 a(lo..mid-1) to every sum in [mid, hi) is added with one product, and then
-[mid, hi) is solved. Blocks of at most ``_BASE_BLOCK`` heights are summed
-term by term. The product is a Kronecker substitution in base 10^w: both
-sequences are packed as zero-filled decimal strings into
+[mid, hi) is solved. Blocks of at most ``_BASE_BLOCK`` heights are solved
+as packed leaves (below). The product is a Kronecker substitution in base
+10^w: both sequences are packed as zero-filled decimal strings into
 :class:`decimal.Decimal` integers, whose libmpdec backend multiplies large
 operands with a number-theoretic transform, and the slots are read back
 from the decimal string of the product. Every coefficient is >= 0, so a
@@ -41,8 +41,22 @@ and a(n) gains Σ_d v_d 10^(s d) from its slots v_d. D = 1 is the plain
 product, with w = digits(L max a max b); :func:`_plane_layout` takes a
 D >= 2, with s >= digits(L max b), only where its operands of (D-1)M + L
 and M slots need a shorter libmpdec transform (:func:`_transform_length`).
-In ``count_series(2·10^4)``, 66 of the 127 nodes take 2 to 4 limbs, the
+In ``count_series(2·10^4)``, 15 of the 31 nodes take 2 to 4 limbs, the
 top node 2.
+
+A leaf [lo, hi) solves R = ``_GROUP`` heights per step. Let a' be its
+counts, zero below lo (the folds have added that part to each a(n)), and
+A_j = Σ_{i<R} a'(j+i) 2^(iK). For the heights g..g+R-1 one multiply-add,
+Σ b(g-j) A_j over j <= g-R, holds in slot i the sum Σ b(g+i-j) a'(j) over
+j <= g-R+i; the last R-1 terms of each height are added one at a time as
+the group is solved, and b is padded with zeros past the leaf. In the
+families' leaves every b(k) fits in one CPython digit, so each b(g-j) A_j
+is one linear pass over R counts, and the interpreter's cost per term is
+paid once for R heights. Every slot that is read sums at most hi - lo
+products b(k) a'(j) >= 0, so K = bitlen((hi - lo) max b(1..hi-lo) max a')
+plus headroom (:func:`_slot_width`) keeps the slots apart. A leaf takes
+its first K from the fold sums it starts with, and rebuilds the A_j wider
+before any group whose solved counts have outgrown K.
 
 The weights come from one multiplicative sieve (:func:`log_derivative_weights`).
 Every family has e(m) = w φ(m) + d_m, d_m = 0 for m >= 3: Dirichlet series
@@ -112,9 +126,16 @@ class CountSeries(Record):
         return self.values[n]
 
 
-#: Blocks of at most this many heights are summed term by term; larger ones
-#: are split in two and joined by one Kronecker-substituted product.
-_BASE_BLOCK = 256
+#: Blocks of at most this many heights are solved as packed leaves; larger
+#: ones are split in two and joined by one Kronecker-substituted product.
+#: Against 512, in alternating fresh processes, 768 (leaves of 625) made
+#: ``count_series(5000)`` faster in 14 of 16 pairs (median 0.206 -> 0.199 s),
+#: and 3000 and 2·10^4 did not resolve; 10^5 takes leaves of 390 with both.
+_BASE_BLOCK = 768
+
+#: Heights solved together in a leaf: one multiply-add on R counts packed
+#: in binary slots serves R heights. R = 8 measured the same.
+_GROUP = 6
 
 #: Decimal context for exact integer products: any rounding raises.
 _EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
@@ -124,6 +145,20 @@ _EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
 def _pack(digits: Sequence[str], width: int) -> decimal.Decimal:
     """Σ_i digits[i] · 10^(width·i) as one decimal integer."""
     return decimal.Decimal("".join([d.zfill(width) for d in reversed(digits)]))
+
+
+def _slot_width(need: int) -> int:
+    """Bits per binary slot that hold values up to need, with room for the counts to grow."""
+    return need.bit_length() + 32
+
+
+def _windows(counts: Sequence[int], R: int, width: int) -> list[int]:
+    """[0] + the windows Σ_{i<R} c(t + 1 - R + i) 2^(i·width), t = 0.., c = 0 before the counts."""
+    out, v, shift = [0], 0, (R - 1) * width
+    for x in counts:
+        v = (v >> width) + (x << shift)
+        out.append(v)
+    return out
 
 
 def _transform_length(*digits: int) -> int:
@@ -157,14 +192,16 @@ def _series_from_weights(b: Sequence[int], limit: int) -> list[int]:
     """a(0..limit) from n a(n) = Σ b(k) a(n-k); raises if any division truncates.
 
     b(1..limit) must be >= 0 (ValueError otherwise): the Kronecker packing
-    sizes its slots from that. See the module docstring for the scheme.
+    and the packed leaves size their slots from that. See the module
+    docstring for the scheme.
     Slots pass through decimal strings, so a count longer than Python's
     int/str digit limit (4300 digits by default; a(n) for [0, 1) reaches
     it near n = 4·10^5) raises ValueError. Each solved count is kept as its
     string too (``a_digits``): taking every fold's chunk from ``str()`` of
     the ints instead was slower in 20 of 30 alternating pairs of fresh
     ``count_series(5000)`` runs (median +4%) and in 7 of 10 at 2·10^4 (+2%),
-    and lowered the peak RSS at 2·10^4 by 0.3 of 58 MB.
+    and lowered the peak RSS at 2·10^4 by 0.3 of 58 MB (measured with leaves
+    of at most 256 heights, summed term by term).
     """
     if any(v < 0 for v in b[1:limit + 1]):
         raise ValueError("weights b(k) must be >= 0")
@@ -193,16 +230,42 @@ def _series_from_weights(b: Sequence[int], limit: int) -> list[int]:
                 v = v * unit + (int(prod[max(end - width, 0):end]) if end > 0 else 0)
             a[n] += v
 
+    def leaf(lo: int, hi: int) -> None:
+        # ap is a' = a(lo..) after R - 1 zeros and packed[t] the window
+        # Σ_i ap[t - 1 + i] 2^(i·width): slot i of Σ_t b(g - lo + R - t) packed[t]
+        # is Σ b(g + i - j) a'(j) over j <= g - R + i, what height g + i needs
+        # but its last R - 1 terms, which are added one by one
+        R, span = _GROUP, hi - lo
+        bp = b[:span] + [0] * R
+        tail = bp[R - 1:0:-1]
+        top_b = max(b[1:span], default=0)
+        width = _slot_width(span * top_b * max(a[lo:hi]))
+        ap, packed, top = [0] * (R - 1), [0], 0
+        for g in range(lo, hi, R):
+            need = span * top_b * top  # no read slot holds more
+            if need >> width:
+                width = _slot_width(need)
+                packed = _windows(ap[R - 1:], R, width)
+            s = sum(map(mul, bp[g - lo + R:R - 1:-1], packed))
+            mask, high = (1 << width) - 1, (R - 1) * width
+            for n in range(g, min(g + R, hi)):
+                v = a[n] + (s & mask) + sum(map(mul, tail, ap[n - lo:]))
+                s >>= width
+                if n:
+                    v, r = divmod(v, n)
+                    if r:
+                        raise ArithmeticError(
+                            f"log-derivative recurrence not divisible at n={n}; "
+                            "the weight table is inconsistent")
+                a[n] = v
+                a_digits[n] = str(v)
+                ap.append(v)
+                top = max(top, v)
+                packed.append((packed[-1] >> width) + (v << high))
+
     def solve(lo: int, hi: int) -> None:
         if hi - lo <= _BASE_BLOCK:
-            for n in range(max(lo, 1), hi):
-                q, r = divmod(a[n] + sum(map(mul, b[n - lo:0:-1], a[lo:n])), n)
-                if r:
-                    raise ArithmeticError(
-                        f"log-derivative recurrence not divisible at n={n}; "
-                        "the weight table is inconsistent")
-                a[n] = q
-                a_digits[n] = str(q)
+            leaf(lo, hi)
             return
         mid = (lo + hi) // 2
         solve(lo, mid)

@@ -9,9 +9,12 @@ from npcount import CountSeries, SlopeRange, count_series, log_derivative_weight
 from npcount import counting
 from npcount.counting import (
     _BASE_BLOCK,
+    _GROUP,
     _plane_layout,
     _series_from_weights,
+    _slot_width,
     _transform_length,
+    _windows,
     smallest_prime_factors,
 )
 
@@ -153,16 +156,17 @@ class TestCountSeries:
             _series_from_weights([0, 1, 2], 2)
 
     def test_inexact_division_beyond_first_block_raises(self):
-        # b(300) reaches the sum at n = 300 only through a block product, not the direct sum
-        limit = 600
+        # two leaves, [0, B) and [B, 2B): b(B) reaches the sum at n = B only
+        # through the block product, not in a leaf
+        limit = 2 * _BASE_BLOCK - 1
         b = log_derivative_weights(SlopeRange.HALF_OPEN_01, limit)
-        b[300] += 1
-        with pytest.raises(ArithmeticError, match="n=300"):
+        b[_BASE_BLOCK] += 1
+        with pytest.raises(ArithmeticError, match=f"n={_BASE_BLOCK}"):
             _series_from_weights(b, limit)
 
     def test_zero_weights_across_blocks(self):
         # every block product is 0, one decimal digit, so its read-back stops at once
-        limit = 600
+        limit = 2 * _BASE_BLOCK + 1
         assert _series_from_weights([0] * (limit + 1), limit) == [1] + [0] * limit
 
     def test_negative_weight_rejected(self):
@@ -191,10 +195,62 @@ class TestCountSeries:
         assert series_from_exponents(e, limit) == oracles.product_series(e, limit)
 
 
+class TestPackedLeaf:
+    """Each leaf: R heights per multiply-add on counts packed in binary slots."""
+
+    @pytest.mark.parametrize("group", [2, 3, _GROUP])
+    @pytest.mark.parametrize("leaf", [7, 16])
+    @pytest.mark.parametrize("slope_range", list(SlopeRange))
+    def test_small_groups_and_leaves_equal_quadratic_reference(self, monkeypatch, group, leaf,
+                                                                slope_range):
+        # every group offset, the first leaf, the zeros below lo and the short
+        # last group; a misaligned slice can keep every division by n exact
+        monkeypatch.setattr(counting, "_GROUP", group)
+        monkeypatch.setattr(counting, "_BASE_BLOCK", leaf)
+        for limit in [*range(41), 4 * leaf - 1, 4 * leaf, 4 * leaf + 1]:
+            b = log_derivative_weights(slope_range, limit)
+            assert _series_from_weights(b, limit) == oracles.series_quadratic_reference(b, limit), \
+                limit
+
+    @pytest.mark.parametrize("slope_range", list(SlopeRange))
+    def test_too_narrow_first_slots_are_rebuilt(self, monkeypatch, slope_range):
+        # the first width is 1 bit, every later one exactly the slot bound
+        widths, rebuilds = [], []
+
+        def narrow(need):
+            widths.append(1 if not widths else need.bit_length())
+            return widths[-1]
+
+        def spy(counts, R, width):
+            rebuilds.append(len(counts))
+            return _windows(counts, R, width)
+        monkeypatch.setattr(counting, "_slot_width", narrow)
+        monkeypatch.setattr(counting, "_windows", spy)
+        b = log_derivative_weights(slope_range, 600)
+        assert _series_from_weights(b, 600) == oracles.series_quadratic_reference(b, 600)
+        assert rebuilds[0] == _GROUP  # before the first leaf's second group
+
+    def test_slot_width_holds_the_bound(self):
+        for need in [0, 1, 2 ** 64 - 1, 2 ** 64, 3 ** 500]:
+            assert need >> _slot_width(need) == 0
+
+    def test_windows_hold_each_count_in_its_slot(self):
+        counts, width = [5, 0, 7, 1, 3], 4
+        windows = _windows(counts, 3, width)
+        padded = [0, 0] + counts
+        assert windows == [0] + [sum(padded[t + i] << i * width for i in range(3))
+                                 for t in range(len(counts))]
+
+
 class TestMiddleProduct:
     """Each node's product: D limbs of every count, as planes M slots apart, times b(1..M)."""
 
     LIMIT = 600
+
+    @pytest.fixture(autouse=True)
+    def leaves_of_256(self, monkeypatch):
+        """Leaves of 256 heights, so that LIMIT's tree has a top node and two below it."""
+        monkeypatch.setattr(counting, "_BASE_BLOCK", 256)
 
     @classmethod
     def weights(cls, kind):
@@ -241,6 +297,19 @@ class TestMiddleProduct:
         monkeypatch.setattr(counting, "_plane_layout", spy)
         assert _series_from_weights(b, self.LIMIT) == oracles.series_quadratic_reference(b, self.LIMIT)
         assert 1 in chosen and max(chosen) >= 2
+
+    def test_dense_counts_rebuild_the_leaf_slots(self, monkeypatch):
+        # the counts outgrow the width that a leaf starts with, which its
+        # fold sums set, so the packed windows are rebuilt wider
+        leaves = set()
+
+        def spy(counts, R, width):
+            leaves.add(counts[0])  # a(lo) names the leaf
+            return _windows(counts, R, width)
+        monkeypatch.setattr(counting, "_windows", spy)
+        b = self.weights("dense")
+        assert _series_from_weights(b, self.LIMIT) == oracles.series_quadratic_reference(b, self.LIMIT)
+        assert len(leaves) == 4  # every leaf: [0, 150), [150, 300), [300, 450), [450, 601)
 
     @pytest.mark.parametrize("kind", ["dense", "sparse", "flat"])
     @pytest.mark.parametrize("narrowest", [True, False])
